@@ -34,8 +34,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-SOLVER_NAMES = ("exhaustive", "random", "greedy", "sa", "lstm")
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the contract reserves 2 for data.
@@ -54,9 +52,12 @@ def _fail_data(exc: Exception, context: str) -> "_DataError":
 
 def _load_pattern(path: str) -> BlockPattern:
     try:
-        return data_io.load_pattern(path)
+        pattern = data_io.load_pattern(path)
+        # A well-formed file may still hold a block no ArchConfig admits (N<3, C=0).
+        ArchConfig(num_wordlines=pattern.num_wordlines, cells_per_page=pattern.cells_per_page)
     except (ArrangeError, OSError) as exc:
         raise _fail_data(exc, f"cannot read pattern {path}") from exc
+    return pattern
 
 
 def _load_blocks(data_dir: str) -> tuple[list[str], list[BlockPattern]]:
@@ -180,30 +181,39 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _run_solver(name: str, pattern: BlockPattern, cfg: ArchConfig, args, model):
-    if name == "exhaustive":
-        return solvers.exhaustive_best(pattern, cfg)
-    if name == "random":
-        return solvers.random_search(pattern, cfg, args.iterations, args.seed)
-    if name == "greedy":
-        return solvers.greedy_arrange(pattern, cfg)
-    if name == "sa":
-        schedule = solvers.AnnealSchedule(
-            initial_temperature=args.t0,
-            cooling_factor=args.cooling,
-            iterations=args.iterations,
-            seed=args.seed,
-        )
-        return solvers.simulated_annealing(pattern, cfg, schedule)
-    if name == "lstm":
-        if model is None:
-            raise InvalidArgument("--solver lstm requires --model")
-        params, netcfg = model
-        started = time.perf_counter()
-        perm = neural.arrange(pattern, params, netcfg)
-        score = scoring.block_score(apply_permutation(pattern, perm), cfg)
-        return solvers.SolverResult(perm, score, 0, time.perf_counter() - started)
-    raise InvalidArgument(f"unknown solver '{name}' (choose from {', '.join(SOLVER_NAMES)})")
+@dataclass(frozen=True)
+class _SolverOptions:
+    iterations: int
+    seed: int
+    t0: float | None = None
+    cooling: float = solvers.SA_DEFAULT_COOLING
+    model: tuple | None = None
+
+
+def _anneal(pattern: BlockPattern, cfg: ArchConfig, opts: _SolverOptions):
+    schedule = solvers.AnnealSchedule(opts.t0, opts.cooling, opts.iterations, opts.seed)
+    return solvers.simulated_annealing(pattern, cfg, schedule)
+
+
+def _lstm(pattern: BlockPattern, cfg: ArchConfig, opts: _SolverOptions):
+    if opts.model is None:
+        raise InvalidArgument("--solver lstm requires --model")
+    started = time.perf_counter()
+    perm = neural.arrange(pattern, *opts.model)
+    score = scoring.block_score(apply_permutation(pattern, perm), cfg)
+    return solvers.SolverResult(perm, score, 0, time.perf_counter() - started)
+
+
+# name -> solver(pattern, cfg, opts): the names arrange --solver and compare --solvers accept.
+SOLVERS = {
+    "exhaustive": lambda pattern, cfg, opts: solvers.exhaustive_best(pattern, cfg),
+    "random": lambda pattern, cfg, opts: solvers.random_search(
+        pattern, cfg, opts.iterations, opts.seed
+    ),
+    "greedy": lambda pattern, cfg, opts: solvers.greedy_arrange(pattern, cfg),
+    "sa": _anneal,
+    "lstm": _lstm,
+}
 
 
 def _load_model(path: str | None):
@@ -221,7 +231,8 @@ def cmd_arrange(args) -> int:
     cfg = _arch_for([pattern])
     model = _load_model(args.model)
     original = scoring.block_score(pattern, cfg)
-    result = _run_solver(args.solver, pattern, cfg, args, model)
+    opts = _SolverOptions(args.iterations, args.seed, args.t0, args.cooling, model)
+    result = SOLVERS[args.solver](pattern, cfg, opts)
     if args.out_map:
         data_io.save_mapping_table(args.out_map, result.perm)
     uplift = 100.0 * (result.score - original) / original
@@ -247,13 +258,14 @@ def cmd_train(args) -> int:
         num_linear_layers=network.get("num_linear_layers", 1),
     )
     train_blocks, test_blocks = data_io.split_dataset(blocks, traincfg.seed)
+    tensors = [scoring.build_score_tensor(block, cfg) for block in train_blocks]
 
     def mean_expected(params):
         total = 0.0
-        for block in train_blocks:
+        for block, tensor in zip(train_blocks, tensors):
             p = neural.head_forward(neural.lstm_forward(block, params, netcfg), params, netcfg)
             pac = neural.combination_probability(neural.seqgen_transform(p))
-            total += neural.expected_score(pac, scoring.build_score_tensor(block, cfg))
+            total += neural.expected_score(pac, tensor)
         return total / len(train_blocks)
 
     initial = mean_expected(neural.init_params(netcfg, traincfg.seed))
@@ -341,8 +353,8 @@ class ComparisonReport:
 def cmd_compare(args) -> int:
     requested = [s.strip() for s in args.solvers.split(",") if s.strip()]
     for name in requested:
-        if name not in SOLVER_NAMES:
-            raise InvalidArgument(f"unknown solver '{name}' (choose from {', '.join(SOLVER_NAMES)})")
+        if name not in SOLVERS:
+            raise InvalidArgument(f"unknown solver '{name}' (choose from {', '.join(SOLVERS)})")
     _, blocks = _load_blocks(args.data_dir)
     cfg = _arch_for(blocks)
     model = _load_model(args.model)
@@ -355,14 +367,9 @@ def cmd_compare(args) -> int:
         elapsed = 0.0
         error = None
         for index, block in enumerate(blocks):
-            run_args = argparse.Namespace(
-                iterations=args.iterations,
-                seed=args.seed + index,
-                t0=None,
-                cooling=solvers.SA_DEFAULT_COOLING,
-            )
+            opts = _SolverOptions(args.iterations, args.seed + index, model=model)
             try:
-                result = _run_solver(name, block, cfg, run_args, model)
+                result = SOLVERS[name](block, cfg, opts)
             except ArrangeError as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 failed = True
@@ -416,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("arrange", help="arrange one block and write its mapping table")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--solver", choices=SOLVER_NAMES, required=True)
+    p.add_argument("--solver", choices=SOLVERS, required=True)
     p.add_argument("--model", help="PDAW checkpoint (required for --solver lstm)")
     p.add_argument("--out-map")
     p.add_argument("--seed", type=int, default=0)

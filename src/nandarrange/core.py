@@ -23,9 +23,6 @@ from .errors import (
 LEVELS = 16
 ERASED = 0
 
-# Plain ints carry program levels; range checks happen at module boundaries.
-ProgramLevel = int
-
 
 @dataclass(frozen=True)
 class ArchConfig:
@@ -41,8 +38,6 @@ class ArchConfig:
     k2: float = 1.0
     alpha: float = 1.0
 
-    levels: int = LEVELS
-
     def __post_init__(self):
         if self.num_wordlines < 3:
             raise InvalidArgument(
@@ -50,8 +45,6 @@ class ArchConfig:
             )
         if self.cells_per_page < 1:
             raise InvalidArgument(f"cells_per_page must be positive, got {self.cells_per_page}")
-        if self.levels != LEVELS:
-            raise InvalidArgument(f"levels is fixed at {LEVELS} for QLC, got {self.levels}")
         if not (self.k1 > 0 and self.k2 > 0 and self.alpha > 0):
             raise InvalidArgument("k1, k2 and alpha must all be positive")
 

@@ -1,14 +1,16 @@
 """Gray-code level mapping, dataset production, and the binary file codecs.
 
-Two little-endian formats live here:
+Every binary format shares one framing, written once here by pack_header and
+unpack_header: magic, version byte 0x01, little-endian header fields, then a
+payload whose exact size the header fields fix. Two formats live here:
 
-PDAP pattern file    magic "PDAP", version 0x01, N as u32, C as u32,
-                     then N*C raw cell bytes wordline-major.
-PDAM mapping table   magic "PDAM", version 0x01, N as u16, then N u16
-                     entries; entry i = source page stored at physical
-                     wordline i. Payload after the 7-byte header is exactly
-                     2N bytes, which is the whole metadata cost of realizing
-                     an arrangement through FTL address mapping.
+PDAP pattern file    magic "PDAP", N as u32, C as u32, then N*C raw cell
+                     bytes wordline-major.
+PDAM mapping table   magic "PDAM", N as u16, then N u16 entries; entry i =
+                     source page stored at physical wordline i. Payload after
+                     the 7-byte header is exactly 2N bytes, which is the whole
+                     metadata cost of realizing an arrangement through FTL
+                     address mapping.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -97,52 +100,57 @@ class MappingTable:
         return Permutation(self.entries)
 
 
+def pack_header(magic: bytes, fields: str, *values: int) -> bytes:
+    """Magic, version byte, then ``values`` as the little-endian struct ``fields``."""
+    return magic + struct.pack("<B" + fields, FORMAT_VERSION, *values)
+
+
+def unpack_header(
+    data: bytes, magic: bytes, fields: str, payload_size: Callable[..., int]
+) -> tuple[list[int], bytes]:
+    """Check the framing pack_header writes; return the header fields and payload.
+
+    ``payload_size`` maps the header fields to the exact payload byte count
+    (raising a CodecError for fields that describe no valid object).
+    """
+    if data[:4] != magic:
+        raise BadMagic(f"expected magic {magic!r}, got {bytes(data[:4])!r}")
+    fmt = "<B" + fields
+    header_len = 4 + struct.calcsize(fmt)
+    if len(data) < header_len:
+        raise TruncatedFile(f"{magic!r} header needs {header_len} bytes, file has {len(data)}")
+    version, *values = struct.unpack_from(fmt, data, 4)
+    if version != FORMAT_VERSION:
+        raise UnsupportedVersion(f"{magic!r} version {version}, supported: {FORMAT_VERSION}")
+    expected = header_len + payload_size(*values)
+    if len(data) != expected:
+        raise TruncatedFile(f"{magic!r} for {values} must be {expected} bytes, got {len(data)}")
+    return values, data[header_len:]
+
+
 def write_mapping_table(perm: Permutation) -> bytes:
     n = len(perm)
     if n > 0xFFFF:
         raise InvalidArgument(f"mapping table limited to 65535 wordlines, got {n}")
-    header = MAPPING_MAGIC + struct.pack("<BH", FORMAT_VERSION, n)
-    payload = struct.pack(f"<{n}H", *perm.order)
-    return header + payload
+    return pack_header(MAPPING_MAGIC, "H", n) + struct.pack(f"<{n}H", *perm.order)
 
 
 def read_mapping_table(data: bytes) -> MappingTable:
-    if len(data) < 4 or data[:4] != MAPPING_MAGIC:
-        raise BadMagic(f"expected magic {MAPPING_MAGIC!r}, got {bytes(data[:4])!r}")
-    if len(data) < 7:
-        raise TruncatedFile(f"mapping header needs 7 bytes, file has {len(data)}")
-    version, n = struct.unpack("<BH", data[4:7])
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersion(f"mapping table version {version}, supported: {FORMAT_VERSION}")
-    expected = 7 + 2 * n
-    if len(data) != expected:
-        raise TruncatedFile(f"mapping table for N={n} must be {expected} bytes, got {len(data)}")
-    entries = struct.unpack(f"<{n}H", data[7:])
-    return MappingTable(entries)
+    (n,), payload = unpack_header(data, MAPPING_MAGIC, "H", lambda n: 2 * n)
+    return MappingTable(struct.unpack(f"<{n}H", payload))
 
 
 def write_pattern(pattern: BlockPattern) -> bytes:
     cells = pattern.cells
     if cells.size and (cells.min() < 0 or cells.max() >= LEVELS):
         raise LevelOutOfRange("pattern holds levels outside 0..15, refusing to encode")
-    header = PATTERN_MAGIC + struct.pack(
-        "<BII", FORMAT_VERSION, pattern.num_wordlines, pattern.cells_per_page
-    )
+    header = pack_header(PATTERN_MAGIC, "II", pattern.num_wordlines, pattern.cells_per_page)
     return header + cells.astype(np.uint8).tobytes(order="C")
 
 
 def read_pattern(data: bytes) -> BlockPattern:
-    if len(data) < 4 or data[:4] != PATTERN_MAGIC:
-        raise BadMagic(f"expected magic {PATTERN_MAGIC!r}, got {bytes(data[:4])!r}")
-    if len(data) < 13:
-        raise TruncatedFile(f"pattern header needs 13 bytes, file has {len(data)}")
-    version, n, c = struct.unpack("<BII", data[4:13])
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersion(f"pattern version {version}, supported: {FORMAT_VERSION}")
-    expected = 13 + n * c
-    if len(data) != expected:
-        raise TruncatedFile(f"pattern for {n}x{c} must be {expected} bytes, got {len(data)}")
-    cells = np.frombuffer(data[13:], dtype=np.uint8).reshape(n, c)
+    (n, c), payload = unpack_header(data, PATTERN_MAGIC, "II", lambda n, c: n * c)
+    cells = np.frombuffer(payload, dtype=np.uint8).reshape(n, c)
     if cells.size and cells.max() >= LEVELS:
         row, col = np.argwhere(cells >= LEVELS)[0]
         raise LevelOutOfRange(

@@ -12,36 +12,31 @@ greedily into a bijection and you are done.
 
 Parameter layout: the four LSTM gates are stacked as row blocks in the order
 input, forget, cell-candidate, output, so w_input is (4H, C), w_hidden is
-(4H, H) and bias is (4H,). Checkpoints (magic "PDAW", version 1) store the
-network dimensions as little-endian u32 (C, hidden_size, num_linear_layers,
-N) followed by every tensor of NetworkParams.tensors() as little-endian
-float64, row-major.
+(4H, H) and bias is (4H,). Checkpoints use the PDAW format; its layout is in
+the README "File formats" table.
 """
 
 from __future__ import annotations
 
-import struct
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import ArchConfig, BlockPattern, Permutation
+from .data_io import pack_header, unpack_header
 from .errors import (
-    BadMagic,
     CodecError,
     DimensionMismatch,
     InvalidArgument,
     NonFiniteGradient,
     NonFiniteLoss,
     TooFewWordlines,
-    TruncatedFile,
-    UnsupportedVersion,
 )
 from .scoring import build_score_tensor
 
 CHECKPOINT_MAGIC = b"PDAW"
-CHECKPOINT_VERSION = 1
 
 LEVEL_SCALE = 15.0
 ADAM_EPSILON = 1e-8
@@ -461,9 +456,9 @@ def arrange(
 
 
 def write_checkpoint(params: NetworkParams, netcfg: NetworkConfig) -> bytes:
-    header = CHECKPOINT_MAGIC + struct.pack(
-        "<BIIII",
-        CHECKPOINT_VERSION,
+    header = pack_header(
+        CHECKPOINT_MAGIC,
+        "IIII",
         netcfg.input_dim,
         netcfg.hidden_size,
         netcfg.num_linear_layers,
@@ -475,42 +470,37 @@ def write_checkpoint(params: NetworkParams, netcfg: NetworkConfig) -> bytes:
     return header + body
 
 
-def read_checkpoint(data: bytes) -> tuple[NetworkParams, NetworkConfig]:
-    if len(data) < 4 or data[:4] != CHECKPOINT_MAGIC:
-        raise BadMagic(f"expected magic {CHECKPOINT_MAGIC!r}, got {bytes(data[:4])!r}")
-    if len(data) < 21:
-        raise TruncatedFile(f"checkpoint header needs 21 bytes, file has {len(data)}")
-    version, c, h, layers, n = struct.unpack("<BIIII", data[4:21])
-    if version != CHECKPOINT_VERSION:
-        raise UnsupportedVersion(
-            f"checkpoint version {version}, supported: {CHECKPOINT_VERSION}"
-        )
+def _checkpoint_layout(c: int, h: int, layers: int, n: int):
+    """Network config and tensor shapes a checkpoint header describes."""
     try:
         netcfg = NetworkConfig(
             input_dim=c, hidden_size=h, output_dim=n, num_linear_layers=layers
         )
     except InvalidArgument as exc:
         raise CodecError(f"checkpoint header carries invalid dimensions: {exc}") from exc
-    shapes = [(4 * h, c), (4 * h, h), (4 * h,)] + _head_shapes(netcfg)
-    total = sum(int(np.prod(shape)) for shape in shapes)
-    expected = 21 + 8 * total
-    if len(data) != expected:
-        raise TruncatedFile(f"checkpoint must be {expected} bytes for this header, got {len(data)}")
+    return netcfg, [(4 * h, c), (4 * h, h), (4 * h,)] + _head_shapes(netcfg)
+
+
+def read_checkpoint(data: bytes) -> tuple[NetworkParams, NetworkConfig]:
+    dims, body = unpack_header(
+        data,
+        CHECKPOINT_MAGIC,
+        "IIII",
+        lambda *dims: 8 * sum(math.prod(s) for s in _checkpoint_layout(*dims)[1]),
+    )
+    netcfg, shapes = _checkpoint_layout(*dims)
     arrays = []
-    offset = 21
+    offset = 0
     for shape in shapes:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         arrays.append(
-            np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+            np.frombuffer(body, dtype="<f8", count=count, offset=offset)
             .reshape(shape)
             .astype(np.float64)
         )
         offset += 8 * count
-    if netcfg.num_linear_layers == 1:
-        head_w, head_b = [arrays[3]], [arrays[4]]
-    else:
-        head_w, head_b = [arrays[3], arrays[5]], [arrays[4], arrays[6]]
-    params = NetworkParams(arrays[0], arrays[1], arrays[2], head_w, head_b)
+    # Head tensors follow the LSTM ones as (weight, bias) pairs, one per layer.
+    params = NetworkParams(arrays[0], arrays[1], arrays[2], arrays[3::2], arrays[4::2])
     return params, netcfg
 
 

@@ -12,14 +12,14 @@ testable at desk scale; it is not a device model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import LEVELS, ArchConfig, BlockPattern, validate_pattern
 from .errors import DimensionMismatch, InvalidArgument
 from .data_io import GRAY_TABLE
-from .scoring import _cell_lut
+from .scoring import score_table
 
 _POPCOUNT4 = np.array([bin(v).count("1") for v in range(LEVELS)], dtype=np.int64)
 BITS_PER_CELL = 4
@@ -30,9 +30,6 @@ BITS_PER_CELL = 4
 # of that worst case.
 EXPOSURE_THRESHOLD = 0.25
 FULL_EXPOSURE_DRIFT = 15.0
-
-_SCORE_MAX = 1280.0
-_SCORE_MIN = 1.0
 
 
 @dataclass(frozen=True)
@@ -57,9 +54,10 @@ def cell_exposure(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     exposure is invariant to the score-range coefficient.
     """
     x = pattern.cells
-    lut = _cell_lut(cfg.k1, cfg.k2, 1.0)
+    lut = score_table(replace(cfg, alpha=1.0))
+    best, worst = lut.max(), lut.min()
     exposure = np.zeros(x.shape, dtype=np.float64)
-    exposure[1:-1] = (_SCORE_MAX - lut[x[:-2], x[1:-1], x[2:]]) / (_SCORE_MAX - _SCORE_MIN)
+    exposure[1:-1] = (best - lut[x[:-2], x[1:-1], x[2:]]) / (best - worst)
     return exposure
 
 

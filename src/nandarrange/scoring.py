@@ -9,6 +9,7 @@ and the block score decomposes over consecutive triples of any arrangement.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -68,25 +69,15 @@ def cell_score(under: int, mid: int, up: int, cfg: ArchConfig) -> float:
 
 @lru_cache(maxsize=8)
 def _cell_lut(k1: float, k2: float, alpha: float) -> np.ndarray:
-    """16x16x16 table of cell_score over every (under, mid, up) level triple."""
-    grid = np.arange(LEVELS)
-    under = grid[:, None, None]
-    mid = grid[None, :, None]
-    up = grid[None, None, :]
-    ae = np.full((LEVELS, LEVELS, LEVELS), 2, dtype=np.float64)
-    ae[:, 0, :] = 5
-    programmed = grid > 0
-    ae[np.ix_(programmed, programmed, programmed)] = 5
-    ae[0, 1:, 0] = 1
-    f = (k2 * (LEVELS - np.abs(under - mid)) + k1 * (LEVELS - np.abs(mid - up))) / (
-        alpha * (k1 + k2)
-    )
-    lut = ae * (LEVELS - mid) * f
+    cfg = ArchConfig(k1=k1, k2=k2, alpha=alpha)
+    triples = itertools.product(range(LEVELS), repeat=3)
+    lut = np.array([cell_score(*t, cfg) for t in triples]).reshape(LEVELS, LEVELS, LEVELS)
     lut.flags.writeable = False
     return lut
 
 
-def _lut(cfg: ArchConfig) -> np.ndarray:
+def score_table(cfg: ArchConfig) -> np.ndarray:
+    """Read-only 16x16x16 table of cell_score over every (under, mid, up) level triple."""
     return _cell_lut(cfg.k1, cfg.k2, cfg.alpha)
 
 
@@ -107,7 +98,7 @@ def page_triple_score(
             raise LevelOutOfRange(f"{name} page must hold integer levels, got {page.dtype}")
         if page.size and (page.min() < 0 or page.max() >= LEVELS):
             raise LevelOutOfRange(f"{name} page holds a level outside 0..{LEVELS - 1}")
-    return float(_lut(cfg)[under_page, mid_page, up_page].sum())
+    return float(score_table(cfg)[under_page, mid_page, up_page].sum())
 
 
 def block_score(pattern: BlockPattern, cfg: ArchConfig) -> float:
@@ -118,7 +109,7 @@ def block_score(pattern: BlockPattern, cfg: ArchConfig) -> float:
         )
     validate_pattern(pattern, cfg)
     cells = pattern.cells
-    return float(_lut(cfg)[cells[:-2], cells[1:-1], cells[2:]].sum())
+    return float(score_table(cfg)[cells[:-2], cells[1:-1], cells[2:]].sum())
 
 
 def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
@@ -138,7 +129,7 @@ def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     validate_pattern(pattern, cfg)
     cells = pattern.cells
     n = pattern.num_wordlines
-    lut = _lut(cfg)
+    lut = score_table(cfg)
     tensor = np.zeros((n, n, n), dtype=np.float64)
     for start in range(0, pattern.cells_per_page, _TENSOR_COLUMN_CHUNK):
         chunk = cells[:, start : start + _TENSOR_COLUMN_CHUNK]

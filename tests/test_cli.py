@@ -90,6 +90,22 @@ class TestScore:
         code, _, _ = run(["score", "--in", str(tmp_path / "nope.pdap")], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("shape", [(2, 4), (0, 0), (3, 0)])
+    @pytest.mark.parametrize("command", ["score", "arrange", "simulate"])
+    def test_degenerate_pattern_exits_2(self, tmp_path, capsys, shape, command):
+        path = tmp_path / "degenerate.pdap"
+        save_pattern(path, BlockPattern(np.zeros(shape, dtype=np.uint8)))
+        extra = ["--solver", "greedy"] if command == "arrange" else []
+        code, _, err = run([command, "--in", str(path), *extra], capsys)
+        assert code == 2
+        assert "cannot read pattern" in err
+
+    def test_degenerate_pattern_in_dataset_exits_2(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=5, cells=4)
+        save_pattern(data / "block_9999.pdap", BlockPattern(np.zeros((2, 4), dtype=np.uint8)))
+        code, _, _ = run(["compare", "--data-dir", str(data), "--solvers", "greedy"], capsys)
+        assert code == 2
+
     def test_three_wordline_block_matches_page_triple(self, tmp_path, capsys):
         from nandarrange import page_triple_score
 

@@ -27,7 +27,6 @@ class TestArchConfig:
         cfg = ArchConfig()
         assert (cfg.num_wordlines, cfg.cells_per_page) == (16, 64)
         assert (cfg.k1, cfg.k2, cfg.alpha) == (4.0, 1.0, 1.0)
-        assert cfg.levels == 16
 
     def test_rejects_two_wordlines(self):
         with pytest.raises(InvalidArgument):
@@ -35,7 +34,7 @@ class TestArchConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(k1=0), dict(k2=-1.0), dict(alpha=0), dict(cells_per_page=0), dict(levels=8)],
+        [dict(k1=0), dict(k2=-1.0), dict(alpha=0), dict(cells_per_page=0)],
     )
     def test_rejects_bad_fields(self, kwargs):
         base = dict(num_wordlines=4, cells_per_page=8)

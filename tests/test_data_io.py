@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from nandarrange import (
     gen_random_block,
     gray_decode,
     gray_encode,
+    read_checkpoint,
     read_mapping_table,
     read_pattern,
     split_dataset,
@@ -18,6 +21,7 @@ from nandarrange import (
 )
 from nandarrange.data_io import GENERATOR_ID, MappingTable
 from nandarrange.errors import (
+    ArrangeError,
     BadMagic,
     LevelOutOfRange,
     NotABijection,
@@ -187,3 +191,38 @@ class TestPatternFile:
 def test_pattern_round_trip_property(n, c, seed):
     block = gen_random_block(ArchConfig(num_wordlines=n, cells_per_page=c), seed)
     assert np.array_equal(read_pattern(write_pattern(block)).cells, block.cells)
+
+
+# (decoder, magic, header fields after the version byte) for every binary format.
+DECODERS = [
+    (read_pattern, b"PDAP", "II"),
+    (read_mapping_table, b"PDAM", "H"),
+    (read_checkpoint, b"PDAW", "IIII"),
+]
+
+
+def _decode_or_typed_error(decode, data):
+    try:
+        decode(data)
+    except ArrangeError:
+        pass
+
+
+@given(st.binary(max_size=96))
+@settings(max_examples=300)
+def test_decoders_accept_arbitrary_bytes(data):
+    for decode, magic, _ in DECODERS:
+        _decode_or_typed_error(decode, data)
+        _decode_or_typed_error(decode, magic + data)
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_decoders_accept_random_header_dimensions(data):
+    decode, magic, fields = data.draw(st.sampled_from(DECODERS))
+    top = {"I": 2**32 - 1, "H": 2**16 - 1}
+    dims = [
+        data.draw(st.one_of(st.integers(0, 4), st.integers(0, top[f]))) for f in fields
+    ]
+    body = data.draw(st.binary(max_size=64))
+    _decode_or_typed_error(decode, magic + struct.pack("<B" + fields, 1, *dims) + body)
