@@ -14,12 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LEVELS, ArchConfig, BlockPattern, validate_pattern
+from .core import ERASED, LEVELS, ArchConfig, BlockPattern, validate_pattern
 from .errors import LengthMismatch, LevelOutOfRange, TooFewWordlines
-
-# Columns processed per slab when materializing the triple-score tensor, so
-# full-device page widths (C > 100k) do not allocate an N^3 x C intermediate.
-_TENSOR_COLUMN_CHUNK = 8192
 
 _tensor_builds = 0
 
@@ -120,6 +116,22 @@ def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     are zeroed because a page can occupy only one position. The block score of
     any arrangement sigma equals the sum of entries
     (sigma[t], sigma[t+1], sigma[t+2]) over t.
+
+    Built per middle page b without the 16^3 table. With x = pattern.cells,
+    m_i = x[b, i], w_i = 16 - m_i, z_i = [m_i != 0], e_ai = [x[a, i] = 0] and
+    D_ai = 16 - |x[a, i] - m_i|, the coupling coefficient is
+    5 - z_i (3 e_ai + 3 e_ci - 2 e_ai e_ci), so summing cell_score over the
+    bitlines gives
+
+        M_b[a, c] = r_a + sum_i w_i z_i D_ai (2 e_ai - 3) e_ci
+        r_a       = sum_i D_ai w_i (5 - 3 z_i e_ai)
+        T[a, b, c] = (k2 M_b[a, c] + k1 M_b[c, a]) / (alpha (k1 + k2)),
+
+    one N x C by C x N matmul per b. Every product and partial sum in M_b is
+    an integer of magnitude at most 1280 C, far below 2^53 for any C a PDAP
+    file can hold, so M_b is exact in float64 whatever the BLAS summation
+    order or thread count; rounding happens only in the final
+    combination with k1, k2 and alpha. Memory is O(N C + N^3) at any C.
     """
     global _tensor_builds
     if pattern.num_wordlines < 3:
@@ -127,21 +139,30 @@ def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
             f"score tensor needs >= 3 wordlines, got {pattern.num_wordlines}"
         )
     validate_pattern(pattern, cfg)
-    cells = pattern.cells
     n = pattern.num_wordlines
-    lut = score_table(cfg)
-    tensor = np.zeros((n, n, n), dtype=np.float64)
-    for start in range(0, pattern.cells_per_page, _TENSOR_COLUMN_CHUNK):
-        chunk = cells[:, start : start + _TENSOR_COLUMN_CHUNK]
-        tensor += lut[
-            chunk[:, None, None, :], chunk[None, :, None, :], chunk[None, None, :, :]
-        ].sum(axis=-1)
+    # Float copies first: x - m in the pattern's own (possibly unsigned) dtype wraps.
+    levels = pattern.cells.astype(np.float64)
+    erased = (pattern.cells == ERASED).astype(np.float64)
+    sign = 2.0 * erased - 3.0
+    work = np.empty_like(levels)
+    tensor = np.empty((n, n, n), dtype=np.float64)
+    for b in range(n):
+        mid = levels[b]
+        headroom = LEVELS - mid
+        coupled = headroom * (mid != ERASED)
+        np.subtract(levels, mid, out=work)
+        np.abs(work, out=work)
+        np.subtract(LEVELS, work, out=work)
+        # D_ai e_ai = w_i e_ai, so the r_a term needs no second N x C pass.
+        row_term = work @ (5.0 * headroom) - 3.0 * (erased @ (headroom * coupled))
+        work *= coupled
+        work *= sign
+        pair = work @ erased.T
+        pair += row_term[:, None]
+        tensor[:, b, :] = (cfg.k2 * pair + cfg.k1 * pair.T) / (cfg.alpha * (cfg.k1 + cfg.k2))
     idx = np.arange(n)
-    repeated = (
-        (idx[:, None, None] == idx[None, :, None])
-        | (idx[None, :, None] == idx[None, None, :])
-        | (idx[:, None, None] == idx[None, None, :])
-    )
-    tensor[repeated] = 0.0
+    tensor[idx, idx, :] = 0.0
+    tensor[:, idx, idx] = 0.0
+    tensor[idx, :, idx] = 0.0
     _tensor_builds += 1
     return tensor

@@ -171,8 +171,10 @@ def simulated_annealing(
     Each step proposes swapping two uniformly chosen positions, accepts
     improvements outright and regressions with probability exp(delta/T), then
     cools T by the schedule factor. The best state ever visited is returned.
-    Candidate scores are recomputed in full from the triple-score tensor; at
-    desk scale that costs the same as an incremental delta and cannot drift.
+    Candidate scores are recomputed in full from the triple-score tensor, so
+    they cannot drift. That is N-2 lookups per step where an incremental
+    delta needs at most 6 (a swap touches at most six triples): the same at
+    desk scale (N=8), about ten times more at N=64.
     If `history` is given, the current score is appended after every accepted
     move (diagnostics only).
     """

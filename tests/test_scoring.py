@@ -1,7 +1,9 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nandarrange import (
     ArchConfig,
@@ -15,9 +17,30 @@ from nandarrange import (
     page_triple_score,
 )
 from nandarrange.errors import LengthMismatch, LevelOutOfRange, TooFewWordlines
-from nandarrange.scoring import tensor_build_count
+from nandarrange.scoring import score_table, tensor_build_count
 
 CFG = ArchConfig(num_wordlines=4, cells_per_page=8)
+
+
+def _reference_score_tensor(pattern, cfg):
+    """Slow reference: gathers the 16^3 score table for every ordered page
+    triple and bitline (an N^3 x C intermediate), then sums over bitlines."""
+    cells = pattern.cells
+    tensor = score_table(cfg)[
+        cells[:, None, None, :], cells[None, :, None, :], cells[None, None, :, :]
+    ].sum(axis=-1)
+    tensor[_repeated_index_mask(pattern.num_wordlines)] = 0.0
+    return tensor
+
+
+def _repeated_index_mask(n):
+    idx = np.arange(n)
+    return (
+        (idx[:, None, None] == idx[None, :, None])
+        | (idx[None, :, None] == idx[None, None, :])
+        | (idx[:, None, None] == idx[None, None, :])
+    )
+
 
 # Every erased/programmed class of the coupling table, with representative
 # programmed levels.
@@ -159,6 +182,93 @@ class TestScoreTensor:
         before = tensor_build_count()
         build_score_tensor(BlockPattern(np.zeros((3, 1), dtype=np.uint8)), cfg)
         assert tensor_build_count() == before + 1
+
+
+positive_coefficient = st.floats(min_value=0.01, max_value=100.0)
+
+
+@st.composite
+def tensor_cases(draw):
+    n = draw(st.integers(3, 12))
+    c = draw(st.integers(1, 300))
+    cfg = ArchConfig(
+        num_wordlines=n,
+        cells_per_page=c,
+        k1=draw(positive_coefficient),
+        k2=draw(positive_coefficient),
+        alpha=draw(positive_coefficient),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # 40% erased cells (not 1/16), so every erase-adjacency class occurs often.
+    cells = np.where(rng.random((n, c)) < 0.4, 0, rng.integers(1, 16, size=(n, c)))
+    kind = rng.integers(0, 3, size=c)
+    cells[:, kind == 1] = 0
+    cells[:, kind == 2] = 15
+    return BlockPattern(cells.astype(np.uint8)), cfg
+
+
+@given(tensor_cases())
+@settings(max_examples=80, deadline=None)
+def test_tensor_matches_gather_reference(case):
+    pattern, cfg = case
+    tensor = build_score_tensor(pattern, cfg)
+    np.testing.assert_allclose(tensor, _reference_score_tensor(pattern, cfg), rtol=1e-12, atol=0)
+    assert np.all(tensor[_repeated_index_mask(pattern.num_wordlines)] == 0.0)
+
+
+@pytest.mark.parametrize("k1,k2,alpha", [(4.0, 1.0, 1.0), (2.5, 0.3, 2.0), (1.0, 7.0, 1.0)])
+def test_tensor_entry_equals_cell_score_for_every_level_triple(k1, k2, alpha):
+    cfg = ArchConfig(num_wordlines=3, cells_per_page=1, k1=k1, k2=k2, alpha=alpha)
+    for triple in itertools.product(range(16), repeat=3):
+        pattern = BlockPattern(np.array(triple, dtype=np.uint8).reshape(3, 1))
+        tensor = build_score_tensor(pattern, cfg)
+        assert tensor[0, 1, 2] == pytest.approx(cell_score(*triple, cfg), rel=1e-14)
+
+
+class TestTensorExactness:
+    # The per-page sums are exact integers in float64, so these hold bit for bit.
+    def test_column_order_does_not_change_tensor(self):
+        cfg = ArchConfig(num_wordlines=9, cells_per_page=257)
+        rng = np.random.default_rng(21)
+        cells = rng.integers(0, 16, size=(9, 257), dtype=np.uint8)
+        shuffled = cells[:, rng.permutation(257)]
+        assert np.array_equal(
+            build_score_tensor(BlockPattern(cells), cfg),
+            build_score_tensor(BlockPattern(shuffled), cfg),
+        )
+
+    def test_equal_weights_make_tensor_symmetric_in_outer_pages(self):
+        cfg = ArchConfig(num_wordlines=7, cells_per_page=50, k1=3.0, k2=3.0)
+        rng = np.random.default_rng(22)
+        tensor = build_score_tensor(BlockPattern(rng.integers(0, 16, size=(7, 50))), cfg)
+        assert np.array_equal(tensor, tensor.transpose(2, 1, 0))
+
+    def test_cell_dtype_and_layout_do_not_change_tensor(self):
+        # Levels below the middle page's level would wrap if x - m ran in uint8.
+        cfg = ArchConfig(num_wordlines=6, cells_per_page=40)
+        rng = np.random.default_rng(23)
+        wide = rng.integers(0, 16, size=(6, 80), dtype=np.uint8)
+        expected = build_score_tensor(BlockPattern(wide[:, ::2].copy()), cfg)
+        for cells in (
+            wide[:, ::2].astype(np.int16),
+            wide[:, ::2].astype(np.int64),
+            wide[:, ::2],
+        ):
+            assert np.array_equal(build_score_tensor(BlockPattern(cells), cfg), expected)
+
+
+def test_tensor_build_memory_is_bounded_at_wide_blocks():
+    # A gather over all N^3 page triples would need N^3 * C * 8 bytes (8 GiB
+    # here); the build needs a few N x C float arrays plus the N^3 result.
+    cfg = ArchConfig(num_wordlines=64, cells_per_page=4096)
+    pattern = BlockPattern(np.random.default_rng(24).integers(0, 16, size=(64, 4096), dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        build_score_tensor(pattern, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_decomposition_identity_random_instances():
