@@ -5,15 +5,29 @@ tensor, which makes one candidate evaluation an O(N) sum; the reported score is
 always recomputed from the returned permutation with block_score, so results
 can never carry a stale cached value. Every solver is a deterministic function
 of its inputs and seed.
+
+Greedy and exhaustive search are numpy array passes. Greedy advances all
+N(N-1) ordered starting pairs together, one masked argmax per appended page;
+exhaustive search scores every row of a lexicographic N! x N permutation
+array. Ties go to the lowest page index within a greedy step, then to the
+earliest starting pair, and in exhaustive search to the lexicographically
+smallest map: argmax returns the first maximum. Totals accumulate one triple
+per pass, left to right from 0.0, which is the exact float sum that
+_seq_score takes over the same order; a pairwise row sum would round
+differently and could flip a near-tie. Random search and annealing stay
+sequential Python loops over their RNG streams and read single entries
+through a memoryview of the tensor, which returns the same doubles without
+copying it into nested lists.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import ArchConfig, BlockPattern, Permutation, apply_permutation
 from .errors import InvalidArgument, TooManyWordlines
@@ -54,10 +68,10 @@ class AnnealSchedule:
             raise InvalidArgument(f"iterations must be >= 1, got {self.iterations}")
 
 
-def _seq_score(tensor: list, seq: list[int]) -> float:
+def _seq_score(tensor: memoryview, seq: list[int]) -> float:
     total = 0.0
     for t in range(len(seq) - 2):
-        total += tensor[seq[t]][seq[t + 1]][seq[t + 2]]
+        total += tensor[seq[t], seq[t + 1], seq[t + 2]]
     return total
 
 
@@ -67,27 +81,40 @@ def _finish(pattern, cfg, order, evaluations, started) -> SolverResult:
     return SolverResult(perm, score, evaluations, time.perf_counter() - started)
 
 
+def _permutations(n: int) -> np.ndarray:
+    """All n! permutations of range(n) as uint8 rows, in lexicographic order."""
+    perms = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(1, n + 1):
+        # perms holds range(k-1) in lexicographic order; prefixing each first
+        # page i in turn, and shifting values >= i up by one, extends it to k.
+        block = len(perms)
+        grown = np.empty((k * block, k), dtype=np.uint8)
+        for i in range(k):
+            rows = grown[i * block:(i + 1) * block]
+            rows[:, 0] = i
+            rows[:, 1:] = perms + (perms >= i)
+        perms = grown
+    return perms
+
+
 def exhaustive_best(pattern: BlockPattern, cfg: ArchConfig) -> SolverResult:
-    """Score all N! arrangements; ties go to the lexicographically smallest map."""
+    """Score all N! arrangements; ties go to the lexicographically smallest map.
+
+    One pass per triple position over an N! x N uint8 permutation table
+    (3.3 MB at N=9)."""
     started = time.perf_counter()
     n = pattern.num_wordlines
     if n > EXHAUSTIVE_LIMIT:
         raise TooManyWordlines(
             f"exhaustive search refuses N={n} (limit {EXHAUSTIVE_LIMIT}; use sa instead)"
         )
-    tensor = build_score_tensor(pattern, cfg).tolist()
-    best_order = None
-    best = -math.inf
-    count = 0
-    # itertools yields lexicographic order; strict improvement keeps the first
-    # (smallest) permutation among ties.
-    for order in itertools.permutations(range(n)):
-        count += 1
-        score = _seq_score(tensor, order)
-        if score > best:
-            best = score
-            best_order = order
-    return _finish(pattern, cfg, best_order, count, started)
+    tensor = build_score_tensor(pattern, cfg)
+    perms = _permutations(n)
+    totals = np.zeros(len(perms))
+    for t in range(n - 2):
+        totals += tensor[perms[:, t], perms[:, t + 1], perms[:, t + 2]]
+    best_order = perms[int(totals.argmax())].tolist()
+    return _finish(pattern, cfg, best_order, len(perms), started)
 
 
 def random_search(
@@ -98,7 +125,7 @@ def random_search(
         raise InvalidArgument(f"iterations must be >= 1, got {iterations}")
     started = time.perf_counter()
     n = pattern.num_wordlines
-    tensor = build_score_tensor(pattern, cfg).tolist()
+    view = memoryview(build_score_tensor(pattern, cfg))
     rng = random.Random(seed)
     best_order = None
     best = -math.inf
@@ -107,56 +134,49 @@ def random_search(
         for k in range(n - 1, 0, -1):
             j = rng.randrange(k + 1)
             seq[k], seq[j] = seq[j], seq[k]
-        score = _seq_score(tensor, seq)
+        score = _seq_score(view, seq)
         if score > best:
             best = score
             best_order = list(seq)
     return _finish(pattern, cfg, best_order, iterations, started)
 
 
-def _greedy_orders(tensor: list, n: int):
-    """Yield one completed order per ordered starting pair, ascending."""
-    for u in range(n):
-        for v in range(n):
-            if v == u:
-                continue
-            seq = [u, v]
-            remaining = [w for w in range(n) if w != u and w != v]
-            while remaining:
-                a, b = seq[-2], seq[-1]
-                row = tensor[a][b]
-                best_w = remaining[0]
-                best_val = row[best_w]
-                for w in remaining[1:]:
-                    val = row[w]
-                    if val > best_val:
-                        best_val = val
-                        best_w = w
-                remaining.remove(best_w)
-                seq.append(best_w)
-            yield seq
+def _greedy_best(tensor: np.ndarray) -> tuple[list[int], float, int]:
+    """Greedy completions of every ordered starting pair, advanced together.
 
-
-def _greedy_best(tensor: list, n: int) -> tuple[list[int], float, int]:
-    best_order = None
-    best = -math.inf
-    count = 0
-    for seq in _greedy_orders(tensor, n):
-        count += 1
-        score = _seq_score(tensor, seq)
-        if score > best:
-            best = score
-            best_order = seq
-    return best_order, best, count
+    Returns the best order, its tensor-sum score and the number of
+    completions scored, N(N-1)."""
+    n = tensor.shape[0]
+    first, second = np.nonzero(~np.eye(n, dtype=bool))
+    starts = np.arange(len(first))
+    rows = tensor.reshape(n * n, n)
+    seqs = np.empty((len(first), n), dtype=np.intp)
+    seqs[:, 0] = first
+    seqs[:, 1] = second
+    # -inf on placed pages, 0.0 elsewhere: adding it masks without changing
+    # any other entry's bits, and is cheaper than a boolean-mask assignment.
+    placed = np.zeros((len(first), n))
+    placed[starts, first] = -np.inf
+    placed[starts, second] = -np.inf
+    totals = np.zeros(len(first))
+    for t in range(2, n):
+        cand = rows[seqs[:, t - 2] * n + seqs[:, t - 1]]
+        cand += placed
+        pick = cand.argmax(axis=1)
+        totals += cand[starts, pick]
+        placed[starts, pick] = -np.inf
+        seqs[:, t] = pick
+    best = int(totals.argmax())
+    return seqs[best].tolist(), float(totals[best]), len(first)
 
 
 def greedy_arrange(pattern: BlockPattern, cfg: ArchConfig) -> SolverResult:
     """Constructive baseline: from every ordered pair, repeatedly append the page
-    that maximizes the newest complete triple's score; keep the best completion."""
+    that maximizes the newest complete triple's score; keep the best completion.
+
+    Time O(N^4) in numpy passes; memory O(N^3), the size of the tensor itself."""
     started = time.perf_counter()
-    n = pattern.num_wordlines
-    tensor = build_score_tensor(pattern, cfg).tolist()
-    best_order, _, count = _greedy_best(tensor, n)
+    best_order, _, count = _greedy_best(build_score_tensor(pattern, cfg))
     return _finish(pattern, cfg, best_order, count, started)
 
 
@@ -182,10 +202,11 @@ def simulated_annealing(
         schedule = AnnealSchedule()
     started = time.perf_counter()
     n = pattern.num_wordlines
-    tensor = build_score_tensor(pattern, cfg).tolist()
+    tensor = build_score_tensor(pattern, cfg)
     rng = random.Random(schedule.seed)
 
-    seq, current, greedy_count = _greedy_best(tensor, n)
+    seq, current, greedy_count = _greedy_best(tensor)
+    view = memoryview(tensor)
     best = current
     best_order = list(seq)
     temp = schedule.initial_temperature
@@ -198,7 +219,7 @@ def simulated_annealing(
         while j == i:
             j = rng.randrange(n)
         seq[i], seq[j] = seq[j], seq[i]
-        candidate = _seq_score(tensor, seq)
+        candidate = _seq_score(view, seq)
         delta = candidate - current
         if delta >= 0 or (temp > 0 and rng.random() < math.exp(delta / temp)):
             current = candidate

@@ -1,8 +1,10 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nandarrange import (
     AnnealSchedule,
@@ -11,12 +13,14 @@ from nandarrange import (
     Permutation,
     apply_permutation,
     block_score,
+    build_score_tensor,
     exhaustive_best,
     gen_random_block,
     greedy_arrange,
     random_search,
     simulated_annealing,
 )
+from nandarrange import solvers
 from nandarrange.errors import InvalidArgument, TooManyWordlines
 
 
@@ -29,6 +33,97 @@ def brute_force_max(pattern, cfg):
     return best
 
 
+def _reference_seq_score(tensor_list, seq):
+    total = 0.0
+    for t in range(len(seq) - 2):
+        total += tensor_list[seq[t]][seq[t + 1]][seq[t + 2]]
+    return total
+
+
+def _reference_greedy(tensor_list, n):
+    # The pure-Python greedy the array pass replaced: one starting pair at a
+    # time, a strict-> scan over the remaining pages in ascending order.
+    best_order = None
+    best = -math.inf
+    count = 0
+    for u in range(n):
+        for v in range(n):
+            if v == u:
+                continue
+            seq = [u, v]
+            remaining = [w for w in range(n) if w != u and w != v]
+            while remaining:
+                row = tensor_list[seq[-2]][seq[-1]]
+                best_w = remaining[0]
+                for w in remaining[1:]:
+                    if row[w] > row[best_w]:
+                        best_w = w
+                remaining.remove(best_w)
+                seq.append(best_w)
+            count += 1
+            score = _reference_seq_score(tensor_list, seq)
+            if score > best:
+                best = score
+                best_order = seq
+    return best_order, best, count
+
+
+def _reference_exhaustive(tensor_list, n):
+    # The itertools loop the array pass replaced; strict > keeps the first
+    # (lexicographically smallest) permutation among ties.
+    best_order = None
+    best = -math.inf
+    count = 0
+    for order in itertools.permutations(range(n)):
+        count += 1
+        score = _reference_seq_score(tensor_list, order)
+        if score > best:
+            best = score
+            best_order = list(order)
+    return best_order, best, count
+
+
+BLOCK_KINDS = ("random", "identical_rows", "all_erased", "two_level")
+
+
+def make_block(kind, n, c, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        cells = rng.integers(0, 16, size=(n, c))
+    elif kind == "identical_rows":
+        cells = np.tile(rng.integers(0, 16, size=c), (n, 1))
+    elif kind == "all_erased":
+        cells = np.zeros((n, c))
+    else:
+        # Two levels only: at small C many rows repeat, so many triples tie.
+        lo, hi = rng.choice(16, size=2, replace=False)
+        cells = np.where(rng.random((n, c)) < 0.5, lo, hi)
+    return BlockPattern(cells.astype(np.uint8))
+
+
+@st.composite
+def greedy_cases(draw):
+    n = draw(st.integers(3, 12))
+    c = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(BLOCK_KINDS))
+    cfg = ArchConfig(
+        num_wordlines=n,
+        cells_per_page=c,
+        k1=draw(st.sampled_from([4.0, 1.0, 0.3])),
+        k2=draw(st.sampled_from([1.0, 2.5])),
+    )
+    return make_block(kind, n, c, draw(st.integers(0, 2**32 - 1))), cfg
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestExhaustive:
     def test_evaluates_24_permutations_at_n4(self):
         cfg = ArchConfig(num_wordlines=4, cells_per_page=4)
@@ -36,10 +131,34 @@ class TestExhaustive:
         assert result.evaluations == 24
 
     def test_identical_rows_give_identity(self):
-        cfg = ArchConfig(num_wordlines=4, cells_per_page=4)
-        cells = np.tile(np.array([1, 5, 9, 13], dtype=np.uint8), (4, 1))
-        result = exhaustive_best(BlockPattern(cells), cfg)
-        assert result.perm.order == (0, 1, 2, 3)
+        for n in range(3, 9):
+            cfg = ArchConfig(num_wordlines=n, cells_per_page=4)
+            cells = np.tile(np.array([1, 5, 9, 13], dtype=np.uint8), (n, 1))
+            result = exhaustive_best(BlockPattern(cells), cfg)
+            assert result.perm.order == tuple(range(n))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_permutation_rows_are_lexicographic(self, n):
+        expected = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
+        np.testing.assert_array_equal(solvers._permutations(n), expected.reshape(-1, n))
+
+    @pytest.mark.parametrize("kind", BLOCK_KINDS)
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_reference_loop(self, n, kind):
+        cfg = ArchConfig(num_wordlines=n, cells_per_page=6)
+        pattern = make_block(kind, n, 6, seed=n)
+        order, _, count = _reference_exhaustive(build_score_tensor(pattern, cfg).tolist(), n)
+        result = exhaustive_best(pattern, cfg)
+        assert list(result.perm.order) == order
+        assert result.evaluations == count == math.factorial(n)
+        assert result.score.hex() == block_score(apply_permutation(pattern, Permutation(tuple(order))), cfg).hex()
+
+    def test_memory_is_bounded_at_the_limit(self):
+        # The N! x N uint8 table is 3.3 MB at N=9; each column pass adds a
+        # few N!-long index and float arrays.
+        cfg = ArchConfig(num_wordlines=9, cells_per_page=4)
+        pattern = gen_random_block(cfg, seed=9)
+        assert _traced_peak(lambda: exhaustive_best(pattern, cfg)) < 16 * 2**20
 
     def test_matches_independent_enumeration(self):
         cfg = ArchConfig(num_wordlines=5, cells_per_page=4)
@@ -124,6 +243,32 @@ class TestGreedy:
         cfg = ArchConfig(num_wordlines=5, cells_per_page=2)
         assert greedy_arrange(gen_random_block(cfg, seed=0), cfg).evaluations == 5 * 4
 
+    @given(greedy_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_loop(self, case):
+        pattern, cfg = case
+        tensor = build_score_tensor(pattern, cfg)
+        order, score, count = solvers._greedy_best(tensor)
+        ref_order, ref_score, ref_count = _reference_greedy(tensor.tolist(), pattern.num_wordlines)
+        assert order == ref_order
+        assert score.hex() == ref_score.hex()
+        assert count == ref_count == pattern.num_wordlines * (pattern.num_wordlines - 1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_loop_at_n64(self, seed):
+        cfg = ArchConfig(num_wordlines=64, cells_per_page=64)
+        pattern = gen_random_block(cfg, seed=seed)
+        order, _, count = _reference_greedy(build_score_tensor(pattern, cfg).tolist(), 64)
+        result = greedy_arrange(pattern, cfg)
+        assert list(result.perm.order) == order
+        assert result.evaluations == count
+
+    def test_memory_is_bounded_by_the_tensor(self):
+        # O(N^3): the 2 MiB tensor plus a few N(N-1) x N candidate arrays.
+        cfg = ArchConfig(num_wordlines=64, cells_per_page=64)
+        pattern = gen_random_block(cfg, seed=4)
+        assert _traced_peak(lambda: greedy_arrange(pattern, cfg)) < 16 * 2**20
+
 
 class TestSimulatedAnnealing:
     def test_schedule_validation(self):
@@ -166,6 +311,48 @@ class TestSimulatedAnnealing:
         pattern = gen_random_block(cfg, seed=19)
         result = simulated_annealing(pattern, cfg, AnnealSchedule(iterations=300, seed=5))
         assert result.score == block_score(apply_permutation(pattern, result.perm), cfg)
+
+
+@pytest.mark.parametrize("n", [3, 8, 64])
+def test_tensor_view_lookup_is_bit_exact(n):
+    cfg = ArchConfig(num_wordlines=n, cells_per_page=16)
+    tensor = build_score_tensor(gen_random_block(cfg, seed=n), cfg)
+    view, nested = memoryview(tensor), tensor.tolist()
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        seq = rng.permutation(n).tolist()
+        assert solvers._seq_score(view, seq).hex() == _reference_seq_score(nested, seq).hex()
+
+
+# (perm, score, evaluations) recorded from the nested-list implementation, so
+# the memoryview lookups and the array greedy start keep every RNG decision.
+PINNED_RANDOM_SEARCH = [
+    (8, 16, 5, 300, 11, (0, 6, 3, 4, 2, 1, 5, 7), 48188.399999999994, 300),
+    (24, 32, 9, 500, 2,
+     (4, 22, 5, 21, 13, 9, 20, 23, 15, 14, 0, 6, 16, 11, 17, 19, 18, 12, 8, 2, 10, 1, 7, 3),
+     313081.0, 500),
+]
+PINNED_ANNEALING = [
+    (8, 16, 5, 2000, 4, (0, 5, 7, 1, 2, 4, 6, 3), 49512.6, 2057),
+    (24, 32, 9, 3000, 7,
+     (5, 2, 10, 12, 11, 21, 18, 22, 4, 8, 7, 1, 3, 9, 14, 23, 15, 13, 19, 17, 16, 6, 0, 20),
+     333915.4, 3553),
+]
+
+
+@pytest.mark.parametrize("n,c,block_seed,iterations,seed,perm,score,evaluations", PINNED_RANDOM_SEARCH)
+def test_random_search_is_pinned(n, c, block_seed, iterations, seed, perm, score, evaluations):
+    cfg = ArchConfig(num_wordlines=n, cells_per_page=c)
+    result = random_search(gen_random_block(cfg, seed=block_seed), cfg, iterations=iterations, seed=seed)
+    assert (result.perm.order, result.score, result.evaluations) == (perm, score, evaluations)
+
+
+@pytest.mark.parametrize("n,c,block_seed,iterations,seed,perm,score,evaluations", PINNED_ANNEALING)
+def test_simulated_annealing_is_pinned(n, c, block_seed, iterations, seed, perm, score, evaluations):
+    cfg = ArchConfig(num_wordlines=n, cells_per_page=c)
+    schedule = AnnealSchedule(iterations=iterations, seed=seed)
+    result = simulated_annealing(gen_random_block(cfg, seed=block_seed), cfg, schedule)
+    assert (result.perm.order, result.score, result.evaluations) == (perm, score, evaluations)
 
 
 def test_all_solvers_return_valid_bijections_and_obey_exhaustive_bound():
