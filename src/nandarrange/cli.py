@@ -269,7 +269,7 @@ def cmd_train(args) -> int:
         return total / len(train_blocks)
 
     initial = mean_expected(neural.init_params(netcfg, traincfg.seed))
-    params, history = neural.train(train_blocks, netcfg, traincfg, cfg)
+    params, history = neural.train(train_blocks, netcfg, traincfg, cfg, tensors=tensors)
     final = mean_expected(params)
 
     neural.save_checkpoint(args.out_model, params, netcfg)

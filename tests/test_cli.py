@@ -11,6 +11,7 @@ from nandarrange import (
     load_mapping_table,
     save_checkpoint,
     save_pattern,
+    tensor_build_count,
 )
 from nandarrange.cli import main, parse_run_config
 from nandarrange.errors import InvalidArgument
@@ -208,6 +209,21 @@ class TestTrainCommand:
         assert lines[0] == "epoch,mean_loss"
         assert len(lines) == 1 + 3
         assert "initial_mean_score=" in stdout and "final_mean_score=" in stdout
+
+    def test_builds_each_training_tensor_once(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=8)
+        before = tensor_build_count()
+        code, _, _ = run(
+            [
+                "train",
+                "--data-dir", str(data),
+                "--config", str(self._config(tmp_path, epochs=1)),
+                "--out-model", str(tmp_path / "model.pdaw"),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert tensor_build_count() - before == 7  # the 7:3 split's training blocks
 
     def test_rerun_is_bit_identical(self, tmp_path, capsys):
         data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=8)

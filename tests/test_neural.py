@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +37,16 @@ from nandarrange.errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
-from nandarrange.neural import _softmax_rows
+from nandarrange import neural
+from nandarrange.neural import (
+    ADAM_EPSILON,
+    LEVEL_SCALE,
+    NetworkParams,
+    _head_pass,
+    _param_shapes,
+    _seqgen_with_prior,
+    _softmax_rows,
+)
 from nandarrange.scoring import tensor_build_count
 
 CFG4 = ArchConfig(num_wordlines=4, cells_per_page=8)
@@ -53,6 +64,176 @@ def tiny_setup(seed=0, layers=1):
 def full_loss(pattern, params, netcfg, tensor):
     p = head_forward(lstm_forward(pattern, params, netcfg), params, netcfg)
     return -expected_score(combination_probability(seqgen_transform(p)), tensor)
+
+
+# Slow references: the per-tensor code the flat-vector training step replaced.
+
+
+def _reference_init_params(netcfg, seed):
+    rng = np.random.default_rng(seed)
+    h, c, n = netcfg.hidden_size, netcfg.input_dim, netcfg.output_dim
+
+    def uniform(shape, fan_in):
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=shape)
+
+    tensors = [uniform((4 * h, c), c), uniform((4 * h, h), h), np.zeros(4 * h)]
+    tensors[2][h : 2 * h] = 1.0
+    head = [(n, h), (n,)] if netcfg.num_linear_layers == 1 else [(h, h), (h,), (n, h), (n,)]
+    for w_shape, b_shape in zip(head[0::2], head[1::2]):
+        tensors += [uniform(w_shape, w_shape[1]), np.zeros(b_shape)]
+    return tensors
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _reference_lstm_pass(cells, params, netcfg):
+    """One step at a time, sigmoid from exp, an eight-array cache."""
+    steps = cells.shape[0]
+    h = netcfg.hidden_size
+    x = cells.astype(np.float64) / LEVEL_SCALE
+    hidden = np.zeros((steps, h))
+    cache = {
+        key: np.zeros((steps, h))
+        for key in ("h_prev", "c_prev", "gi", "gf", "gg", "go", "tanh_c")
+    }
+    cache["x"] = x
+    h_state = np.zeros(h)
+    c_state = np.zeros(h)
+    for step in range(steps):
+        z = params.w_input @ x[step] + params.w_hidden @ h_state + params.bias
+        gi = _sigmoid(z[:h])
+        gf = _sigmoid(z[h : 2 * h])
+        gg = np.tanh(z[2 * h : 3 * h])
+        go = _sigmoid(z[3 * h :])
+        cache["h_prev"][step] = h_state
+        cache["c_prev"][step] = c_state
+        c_state = gf * c_state + gi * gg
+        tanh_c = np.tanh(c_state)
+        h_state = go * tanh_c
+        for key, value in (("gi", gi), ("gf", gf), ("gg", gg), ("go", go), ("tanh_c", tanh_c)):
+            cache[key][step] = value
+        hidden[step] = h_state
+    return hidden, cache
+
+
+def _reference_backward(pattern, params, netcfg, score_tensor):
+    """Per-triple tensordots, per-row recursion and per-step outer products."""
+    n = pattern.num_wordlines
+    s = np.asarray(score_tensor, dtype=np.float64)
+    hidden, lstm_cache = _reference_lstm_pass(pattern.cells, params, netcfg)
+    p, (z1, a1) = _head_pass(hidden, params, netcfg)
+    psg, prior = _seqgen_with_prior(p)
+
+    g_psg = np.zeros_like(psg)
+    s_m = 0.0
+    for t in range(n - 2):
+        u, v, w = psg[t], psg[t + 1], psg[t + 2]
+        a_bc = np.tensordot(u, s, axes=(0, 0))
+        b_ab = np.tensordot(s, w, axes=(2, 0))
+        s_m += float(v @ a_bc @ w)
+        g_psg[t] += b_ab @ v
+        g_psg[t + 1] += a_bc @ w
+        g_psg[t + 2] += v @ a_bc
+    loss = -s_m
+    g_psg = -g_psg
+
+    g_p = np.zeros_like(p)
+    g_prior_next = np.zeros(n)
+    for i in range(n - 1, -1, -1):
+        total = g_psg[i] - prior[i] * g_prior_next
+        g_p[i] = prior[i] * total
+        g_prior_next = p[i] * total + (1.0 - psg[i]) * g_prior_next
+
+    row_dot = (g_p * p).sum(axis=1, keepdims=True)
+    g_logits = p * (g_p - row_dot)
+
+    grads = params.zeros_like()
+    if len(params.head_w) == 1:
+        grads.head_w[0][...] = g_logits.T @ hidden
+        grads.head_b[0][...] = g_logits.sum(axis=0)
+        g_hidden = g_logits @ params.head_w[0]
+    else:
+        grads.head_w[1][...] = g_logits.T @ a1
+        grads.head_b[1][...] = g_logits.sum(axis=0)
+        g_a1 = g_logits @ params.head_w[1]
+        g_z1 = g_a1 * (z1 > 0)
+        grads.head_w[0][...] = g_z1.T @ hidden
+        grads.head_b[0][...] = g_z1.sum(axis=0)
+        g_hidden = g_z1 @ params.head_w[0]
+
+    h = netcfg.hidden_size
+    x = lstm_cache["x"]
+    dz = np.empty(4 * h)
+    dh_next = np.zeros(h)
+    dc_next = np.zeros(h)
+    for step in range(n - 1, -1, -1):
+        gi = lstm_cache["gi"][step]
+        gf = lstm_cache["gf"][step]
+        gg = lstm_cache["gg"][step]
+        go = lstm_cache["go"][step]
+        tanh_c = lstm_cache["tanh_c"][step]
+        dh = g_hidden[step] + dh_next
+        d_o = dh * tanh_c
+        dc = dc_next + dh * go * (1.0 - tanh_c**2)
+        d_i = dc * gg
+        d_g = dc * gi
+        d_f = dc * lstm_cache["c_prev"][step]
+        dc_next = dc * gf
+        dz[:h] = d_i * gi * (1.0 - gi)
+        dz[h : 2 * h] = d_f * gf * (1.0 - gf)
+        dz[2 * h : 3 * h] = d_g * (1.0 - gg**2)
+        dz[3 * h :] = d_o * go * (1.0 - go)
+        grads.w_input += np.outer(dz, x[step])
+        grads.w_hidden += np.outer(dz, lstm_cache["h_prev"][step])
+        grads.bias += dz
+        dh_next = params.w_hidden.T @ dz
+    return loss, grads
+
+
+def _reference_adam_step(tensors, moment1, moment2, glist, step, traincfg):
+    """Clip by the global norm, then one Adam step, tensor by tensor."""
+    if traincfg.gradient_clip_norm is not None:
+        norm = float(np.sqrt(sum(float((g * g).sum()) for g in glist)))
+        if norm > traincfg.gradient_clip_norm:
+            scale = traincfg.gradient_clip_norm / norm
+            for g in glist:
+                g *= scale
+    bias1 = 1.0 - traincfg.beta1**step
+    bias2 = 1.0 - traincfg.beta2**step
+    for tensor, m1, m2, g in zip(tensors, moment1, moment2, glist):
+        m1 *= traincfg.beta1
+        m1 += (1.0 - traincfg.beta1) * g
+        m2 *= traincfg.beta2
+        m2 += (1.0 - traincfg.beta2) * (g * g)
+        tensor -= traincfg.learning_rate * (m1 / bias1) / (np.sqrt(m2 / bias2) + ADAM_EPSILON)
+
+
+def _reference_train(dataset, netcfg, traincfg, cfg):
+    rng = np.random.default_rng(traincfg.seed)
+    params = init_params(netcfg, rng)
+    tensors = [build_score_tensor(block, cfg) for block in dataset]
+    moment1 = [np.zeros_like(t) for t in params.tensors()]
+    moment2 = [np.zeros_like(t) for t in params.tensors()]
+    step = 0
+    history = []
+    for _ in range(traincfg.epochs):
+        total = 0.0
+        for idx in rng.permutation(len(dataset)):
+            loss, grads = _reference_backward(dataset[idx], params, netcfg, tensors[idx])
+            step += 1
+            _reference_adam_step(params.tensors(), moment1, moment2, grads.tensors(), step, traincfg)
+            total += loss
+        history.append(total / len(dataset))
+    return params, history
+
+
+def assert_close_to_max(actual, expected, tol):
+    """|actual - expected| <= tol * max|expected| everywhere."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert np.abs(actual - expected).max() <= tol * np.abs(expected).max()
 
 
 class TestNetworkConfig:
@@ -99,6 +280,17 @@ class TestLstmForward:
         bad = BlockPattern(np.zeros((4, 5), dtype=np.uint8))
         with pytest.raises(DimensionMismatch):
             lstm_forward(bad, params, netcfg)
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 4.0])
+    def test_matches_reference_recurrence(self, scale):
+        rng = np.random.default_rng(17)
+        for n, c, h in ((3, 1, 1), (8, 32, 16), (10, 16, 8), (6, 5, 3)):
+            netcfg = NetworkConfig(input_dim=c, hidden_size=h, output_dim=n)
+            params = init_params(netcfg, seed=n)
+            params.flat[:] = rng.uniform(-scale, scale, size=params.flat.size)
+            pattern = BlockPattern(rng.integers(0, 16, size=(n, c), dtype=np.uint8))
+            expected, _ = _reference_lstm_pass(pattern.cells, params, netcfg)
+            assert_close_to_max(lstm_forward(pattern, params, netcfg), expected, 1e-13)
 
 
 class TestHeadForward:
@@ -270,6 +462,29 @@ class TestBackward:
         for a, b in zip(grads_a.tensors(), grads_b.tensors()):
             assert np.array_equal(a, b)
 
+    @given(
+        n=st.integers(3, 10),
+        c=st.integers(1, 16),
+        h=st.integers(1, 8),
+        layers=st.sampled_from([1, 2]),
+        scale=st.sampled_from([0.1, 0.5, 1.0, 2.0]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_backward(self, n, c, h, layers, scale, seed):
+        # N=3 is a single triple, where a wrong reshape or transpose shows.
+        rng = np.random.default_rng(seed)
+        netcfg = NetworkConfig(input_dim=c, hidden_size=h, output_dim=n, num_linear_layers=layers)
+        params = init_params(netcfg, rng)
+        params.flat[:] = rng.uniform(-scale, scale, size=params.flat.size)
+        pattern = BlockPattern(rng.integers(0, 16, size=(n, c), dtype=np.uint8))
+        tensor = build_score_tensor(pattern, ArchConfig(num_wordlines=n, cells_per_page=c))
+        loss, grads = backward(pattern, params, netcfg, tensor)
+        ref_loss, ref_grads = _reference_backward(pattern, params, netcfg, tensor)
+        assert relative_error(loss, ref_loss) <= 1e-12
+        for got, expected in zip(grads.tensors(), ref_grads.tensors()):
+            assert_close_to_max(got, expected, 1e-12)
+
     def test_non_finite_params_raise(self):
         # inf merely saturates the gates; nan actually poisons the pass
         pattern, params, netcfg, tensor = tiny_setup(seed=12)
@@ -304,6 +519,32 @@ class TestTrain:
         assert hist_a == hist_b
         for a, b in zip(params_a.tensors(), params_b.tensors()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_matches_reference_train(self, layers):
+        netcfg = NetworkConfig(input_dim=8, hidden_size=4, output_dim=4, num_linear_layers=layers)
+        blocks = [gen_random_block(CFG4, seed=s) for s in range(4)]
+        traincfg = TrainConfig(epochs=3, seed=2)
+        params, history = train(blocks, netcfg, traincfg, CFG4)
+        ref_params, ref_history = _reference_train(blocks, netcfg, traincfg, CFG4)
+        for got, expected in zip(history, ref_history):
+            assert relative_error(got, expected) <= 1e-12
+        for got, expected in zip(params.tensors(), ref_params.tensors()):
+            assert_close_to_max(got, expected, 1e-12)
+
+    def test_uses_prebuilt_tensors(self):
+        netcfg = NetworkConfig(input_dim=8, hidden_size=4, output_dim=4)
+        blocks = [gen_random_block(CFG4, seed=s) for s in range(3)]
+        traincfg = TrainConfig(epochs=2, seed=4)
+        tensors = [build_score_tensor(block, CFG4) for block in blocks]
+        before = tensor_build_count()
+        params, history = train(blocks, netcfg, traincfg, CFG4, tensors=tensors)
+        assert tensor_build_count() == before
+        ref_params, ref_history = train(blocks, netcfg, traincfg, CFG4)
+        assert history == ref_history
+        assert np.array_equal(params.flat, ref_params.flat)
+        with pytest.raises(InvalidArgument):
+            train(blocks, netcfg, traincfg, CFG4, tensors=tensors[:2])
 
     def test_empty_dataset_rejected(self):
         netcfg = NetworkConfig(input_dim=8, hidden_size=4, output_dim=4)
@@ -363,6 +604,89 @@ class TestArrange:
         cfg = ArchConfig(num_wordlines=5, cells_per_page=8)
         with pytest.raises(DimensionMismatch):
             arrange(gen_random_block(cfg, seed=0), params, netcfg)
+
+
+class TestFlatParams:
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_views_tile_flat_in_checkpoint_order(self, layers):
+        netcfg = NetworkConfig(input_dim=5, hidden_size=3, output_dim=4, num_linear_layers=layers)
+        params = init_params(netcfg, seed=0)
+        tensors = params.tensors()
+        assert [t.shape for t in tensors] == _param_shapes(netcfg)
+        named = [params.w_input, params.w_hidden, params.bias]
+        for w, b in zip(params.head_w, params.head_b):
+            named += [w, b]
+        assert all(a is b for a, b in zip(tensors, named)) and len(tensors) == len(named)
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        params.flat[:] = np.arange(params.flat.size)
+        assert np.array_equal(np.concatenate([t.ravel() for t in tensors]), params.flat)
+        for t in tensors:
+            assert np.shares_memory(t, params.flat)
+            t[...] = -1.0
+        assert np.all(params.flat == -1.0)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_init_matches_per_tensor_draw(self, layers):
+        netcfg = NetworkConfig(input_dim=6, hidden_size=5, output_dim=4, num_linear_layers=layers)
+        for seed in range(5):
+            params = init_params(netcfg, seed=seed)
+            expected = _reference_init_params(netcfg, seed)
+            assert len(params.tensors()) == len(expected)
+            for got, want in zip(params.tensors(), expected):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "layers, digest",
+        [
+            (1, "1a83d5cf1afd5ada512cfd840692ae25d8ad6c7b9cf2a6fd7e8beeb199ba71fb"),
+            (2, "943e8bda0bd081b1fc1b589049cf2c20b4aabcb4927c0c4b2ce17434f49e4b1b"),
+        ],
+    )
+    def test_checkpoint_bytes_are_pinned(self, layers, digest):
+        # Recorded from the per-tensor implementation at desk shape.
+        netcfg = NetworkConfig(input_dim=32, hidden_size=16, output_dim=8, num_linear_layers=layers)
+        data = write_checkpoint(init_params(netcfg, 1), netcfg)
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_read_checkpoint_owns_a_writable_copy(self):
+        netcfg = NetworkConfig(input_dim=8, hidden_size=4, output_dim=4, num_linear_layers=2)
+        data = write_checkpoint(init_params(netcfg, seed=3), netcfg)
+        params, _ = read_checkpoint(data)
+        assert params.flat.flags.writeable and params.flat.flags.owndata
+        assert not np.shares_memory(params.flat, np.frombuffer(data, dtype=np.uint8))
+        params.w_input[0, 0] += 1.0
+        assert write_checkpoint(params, netcfg) != data
+
+    @pytest.mark.parametrize("clip", [5.0, None])
+    def test_adam_and_clip_match_per_tensor_loop(self, monkeypatch, clip):
+        netcfg = NetworkConfig(input_dim=8, hidden_size=4, output_dim=4, num_linear_layers=2)
+        shapes = _param_shapes(netcfg)
+        size = sum(int(np.prod(s)) for s in shapes)
+        rng = np.random.default_rng(9)
+        # Norms spread around the clip norm of 5: some steps clip, some do not.
+        feed = [rng.normal(size=size) * rng.choice([0.01, 0.3, 3.0]) for _ in range(20)]
+        assert sum(np.linalg.norm(g) > 5.0 for g in feed) >= 5
+        calls = iter(range(20))
+
+        def fed_backward(pattern, params, netcfg, tensor):
+            return 0.0, NetworkParams(feed[next(calls)].copy(), shapes)
+
+        monkeypatch.setattr(neural, "backward", fed_backward)
+        traincfg = TrainConfig(epochs=5, seed=6, learning_rate=1e-2, gradient_clip_norm=clip)
+        blocks = [gen_random_block(CFG4, seed=s) for s in range(4)]
+        params, _ = train(blocks, netcfg, traincfg, CFG4)
+
+        rng = np.random.default_rng(traincfg.seed)
+        expected = init_params(netcfg, rng)
+        tensors = [t.copy() for t in expected.tensors()]
+        moment1 = [np.zeros_like(t) for t in tensors]
+        moment2 = [np.zeros_like(t) for t in tensors]
+        for step, g in enumerate(feed, start=1):
+            glist = [t.copy() for t in NetworkParams(g.copy(), shapes).tensors()]
+            _reference_adam_step(tensors, moment1, moment2, glist, step, traincfg)
+        assert next(calls, None) is None
+        for got, want in zip(params.tensors(), tensors):
+            assert np.array_equal(got, want)
 
 
 class TestCheckpoint:
