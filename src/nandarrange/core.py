@@ -103,19 +103,24 @@ class Permutation:
 
 
 def validate_pattern(pattern: BlockPattern, cfg: ArchConfig) -> None:
-    """Raise unless ``pattern`` satisfies every block invariant under ``cfg``.
-
-    Reports the first offending cell in row-major order for range violations.
-    """
+    """Raise unless ``pattern`` satisfies every block invariant under ``cfg``."""
     cells = pattern.cells
     if cells.shape != (cfg.num_wordlines, cfg.cells_per_page):
         raise DimensionMismatch(
             f"pattern is {cells.shape[0]}x{cells.shape[1]}, "
             f"config wants {cfg.num_wordlines}x{cfg.cells_per_page}"
         )
-    bad = (cells < 0) | (cells > LEVELS - 1)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
+    validate_levels(pattern)
+
+
+def validate_levels(pattern: BlockPattern) -> None:
+    """Raise LevelOutOfRange unless every cell holds a program level 0..15.
+
+    Reports the first offending cell in row-major order.
+    """
+    cells = pattern.cells
+    if cells.size and (cells.min() < 0 or cells.max() > LEVELS - 1):
+        row, col = np.argwhere((cells < 0) | (cells > LEVELS - 1))[0]
         raise LevelOutOfRange(
             f"cell ({row}, {col}) holds {int(cells[row, col])}, allowed range is 0..{LEVELS - 1}"
         )

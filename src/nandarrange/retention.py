@@ -8,21 +8,31 @@ levels, and only once exposure clears a release threshold. Edge wordlines
 have no complete triple and are modeled as drift-free. Gaussian read noise is
 added last. The channel exists to make the score-versus-BER inverse relation
 testable at desk scale; it is not a device model.
+
+Every per-cell quantity before the noise (saturation, neighbor pull,
+exposure, drift) is a function of the cell's (under, mid, up) level triple
+alone, so each is evaluated once on the 16^3 = 4,096 triples and gathered
+through scoring.triple_index: the only full-size passes are the index, one
+gather, the normal draw and one in-place add.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LEVELS, ArchConfig, BlockPattern, validate_pattern
+from .core import LEVELS, ArchConfig, BlockPattern, validate_levels
 from .errors import DimensionMismatch, InvalidArgument
 from .data_io import GRAY_TABLE
-from .scoring import score_table
+from .scoring import score_table, triple_index
 
-_POPCOUNT4 = np.array([bin(v).count("1") for v in range(LEVELS)], dtype=np.int64)
 BITS_PER_CELL = 4
+# Bits that differ between the Gray codes of levels a and b, at index a << 4 | b.
+_BIT_FLIPS = np.array(
+    [bin(int(a) ^ int(b)).count("1") for a in GRAY_TABLE for b in GRAY_TABLE], dtype=np.uint8
+)
 
 # Exposure below this fraction of the score range moves no charge; the scale
 # maps full exposure (the minimum-score triple, e.g. erased/full/erased) to a
@@ -42,8 +52,16 @@ class RetentionConfig:
 
     def __post_init__(self):
         for name in ("coupling", "time", "saturation_gain", "noise_sigma"):
-            if getattr(self, name) < 0:
-                raise InvalidArgument(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidArgument(f"{name} must be finite and non-negative, got {value}")
+
+
+def _exposure_table(cfg: ArchConfig) -> np.ndarray:
+    """16x16x16 exposure of every level triple, from alpha-normalized scores."""
+    lut = score_table(replace(cfg, alpha=1.0))
+    best, worst = lut.max(), lut.min()
+    return (best - lut) / (best - worst)
 
 
 def cell_exposure(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
@@ -53,11 +71,9 @@ def cell_exposure(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     have no triple and get exposure 0. Uses alpha-normalized scores so the
     exposure is invariant to the score-range coefficient.
     """
-    x = pattern.cells
-    lut = score_table(replace(cfg, alpha=1.0))
-    best, worst = lut.max(), lut.min()
-    exposure = np.zeros(x.shape, dtype=np.float64)
-    exposure[1:-1] = (best - lut[x[:-2], x[1:-1], x[2:]]) / (best - worst)
+    index = triple_index(pattern, cfg)
+    exposure = np.zeros(pattern.cells.shape, dtype=np.float64)
+    np.take(_exposure_table(cfg), index, out=exposure[1:-1], mode="clip")
     return exposure
 
 
@@ -72,44 +88,59 @@ def simulate_retention(
     pull) and cells below the exposure threshold do not move; the worst-case
     triple drifts by the full weighted-pull magnitude. Deterministic given
     rcfg.seed.
+
+    The drifted level is a function of the cell's level triple alone, so it
+    is computed once for each of the 4,096 triples and gathered per cell;
+    each entry gets the same float operations, in the same order, as a
+    per-cell evaluation of the formula above.
     """
-    validate_pattern(pattern, cfg)
-    levels = pattern.cells.astype(np.float64)
-    n = pattern.num_wordlines
+    index = triple_index(pattern, cfg)
+    under, mid, up = np.indices((LEVELS, LEVELS, LEVELS), dtype=np.float64)
     rate = rcfg.coupling * rcfg.time
-    saturation = 1.0 + rcfg.saturation_gain * levels / (LEVELS - 1)
-
-    pull = np.zeros_like(levels)
-    pull[:-1] += cfg.k1 * (levels[1:] - levels[:-1])
-    pull[1:] += cfg.k2 * (levels[:-1] - levels[1:])
-
-    exposure = cell_exposure(pattern, cfg)
+    saturation = 1.0 + rcfg.saturation_gain * mid / (LEVELS - 1)
+    pull = (0.0 + cfg.k1 * (up - mid)) + cfg.k2 * (under - mid)
     response = np.clip(
-        (exposure - EXPOSURE_THRESHOLD) / (1.0 - EXPOSURE_THRESHOLD), 0.0, 1.0
+        (_exposure_table(cfg) - EXPOSURE_THRESHOLD) / (1.0 - EXPOSURE_THRESHOLD), 0.0, 1.0
     )
     drift = rate * saturation * np.sign(pull) * FULL_EXPOSURE_DRIFT * response
 
-    voltages = levels + drift
+    voltages = np.empty(pattern.cells.shape, dtype=np.float64)
+    voltages[[0, -1]] = pattern.cells[[0, -1]]
+    # The index is in range by construction; mode="clip" keeps take from
+    # buffering a copy of its output.
+    np.take(mid + drift, index, out=voltages[1:-1], mode="clip")
     if rcfg.noise_sigma > 0:
         rng = np.random.Generator(np.random.PCG64(rcfg.seed))
-        voltages = voltages + rng.normal(0.0, rcfg.noise_sigma, size=(n, pattern.cells_per_page))
+        voltages += rng.normal(0.0, rcfg.noise_sigma, size=voltages.shape)
     return voltages
 
 
 def read_back(voltages: np.ndarray) -> BlockPattern:
-    """Quantize voltages to the nearest level, round half up, clamp to 0..15."""
-    voltages = np.asarray(voltages, dtype=np.float64)
-    levels = np.clip(np.floor(voltages + 0.5), 0, LEVELS - 1)
+    """Quantize voltages to the nearest level, round half up, clamp to 0..15.
+
+    Infinities clamp like any out-of-range voltage; NaN has no nearest level
+    and raises InvalidArgument.
+    """
+    levels = np.add(voltages, 0.5, dtype=np.float64)
+    if np.isnan(levels).any():
+        raise InvalidArgument("voltages hold NaN, which has no nearest level")
+    np.floor(levels, out=levels)
+    np.clip(levels, 0, LEVELS - 1, out=levels)
     return BlockPattern(levels.astype(np.uint8))
 
 
 def measure_ber(original: BlockPattern, readback: BlockPattern) -> float:
-    """Fraction of differing Gray-coded bits between two patterns."""
+    """Fraction of differing Gray-coded bits between two patterns.
+
+    Both patterns must hold levels 0..15 (LevelOutOfRange otherwise).
+    """
     if original.cells.shape != readback.cells.shape:
         raise DimensionMismatch(
             f"patterns differ in shape: {original.cells.shape} vs {readback.cells.shape}"
         )
-    a = GRAY_TABLE[original.cells]
-    b = GRAY_TABLE[readback.cells]
-    flipped = int(_POPCOUNT4[a ^ b].sum())
+    validate_levels(original)
+    validate_levels(readback)
+    index = original.cells.astype(np.uint8, copy=False) << 4
+    index |= readback.cells.astype(np.uint8, copy=False)
+    flipped = int(_BIT_FLIPS[index].sum())
     return flipped / (BITS_PER_CELL * original.cells.size)

@@ -97,15 +97,29 @@ def page_triple_score(
     return float(score_table(cfg)[under_page, mid_page, up_page].sum())
 
 
+def triple_index(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
+    """Validated (N-2) x C uint16 index of every interior cell's level triple.
+
+    Entry (t, i) is under << 8 | mid << 4 | up for the cells of bitline i on
+    wordlines t, t+1 and t+2, so ``table.ravel()[index]`` gathers any 16x16x16
+    per-triple table (indexed [under, mid, up]) over the interior cells.
+    """
+    validate_pattern(pattern, cfg)
+    cells = pattern.cells.astype(np.uint16)
+    index = cells[:-2] << 4
+    index |= cells[1:-1]
+    index <<= 4
+    index |= cells[2:]
+    return index
+
+
 def block_score(pattern: BlockPattern, cfg: ArchConfig) -> float:
     """Total migration score S_T: the sum over the N-2 interior wordline triples."""
     if pattern.num_wordlines < 3:
         raise TooFewWordlines(
             f"block score needs >= 3 wordlines, got {pattern.num_wordlines}"
         )
-    validate_pattern(pattern, cfg)
-    cells = pattern.cells
-    return float(score_table(cfg)[cells[:-2], cells[1:-1], cells[2:]].sum())
+    return float(score_table(cfg).ravel()[triple_index(pattern, cfg)].sum())
 
 
 def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
@@ -132,6 +146,10 @@ def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     file can hold, so M_b is exact in float64 whatever the BLAS summation
     order or thread count; rounding happens only in the final
     combination with k1, k2 and alpha. Memory is O(N C + N^3) at any C.
+
+    The N x C passes (|x - m|, the coupling and the sign) run in int16, where
+    every value is at most 768 in magnitude, and each operand is converted to
+    float64 once, just before its matmul.
     """
     global _tensor_builds
     if pattern.num_wordlines < 3:
@@ -140,24 +158,28 @@ def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
         )
     validate_pattern(pattern, cfg)
     n = pattern.num_wordlines
-    # Float copies first: x - m in the pattern's own (possibly unsigned) dtype wraps.
-    levels = pattern.cells.astype(np.float64)
-    erased = (pattern.cells == ERASED).astype(np.float64)
-    sign = 2.0 * erased - 3.0
+    # Signed levels: x - m in the pattern's own (possibly unsigned) dtype wraps.
+    levels = pattern.cells.astype(np.int16)
+    programmed = levels != ERASED
+    sign = np.where(programmed, np.int16(-3), np.int16(-1))
+    headroom = LEVELS - levels
+    coupled = headroom * programmed
+    erased = (~programmed).astype(np.float64)
+    # The second r_a term for every b at once: D_ai e_ai = w_i e_ai.
+    erased_term = erased @ (headroom * coupled).T.astype(np.float64)
     work = np.empty_like(levels)
+    exact = np.empty(levels.shape, dtype=np.float64)
     tensor = np.empty((n, n, n), dtype=np.float64)
     for b in range(n):
-        mid = levels[b]
-        headroom = LEVELS - mid
-        coupled = headroom * (mid != ERASED)
-        np.subtract(levels, mid, out=work)
+        np.subtract(levels, levels[b], out=work)
         np.abs(work, out=work)
         np.subtract(LEVELS, work, out=work)
-        # D_ai e_ai = w_i e_ai, so the r_a term needs no second N x C pass.
-        row_term = work @ (5.0 * headroom) - 3.0 * (erased @ (headroom * coupled))
-        work *= coupled
+        np.copyto(exact, work)
+        row_term = exact @ (5.0 * headroom[b]) - 3.0 * erased_term[:, b]
+        work *= coupled[b]
         work *= sign
-        pair = work @ erased.T
+        np.copyto(exact, work)
+        pair = exact @ erased.T
         pair += row_term[:, None]
         tensor[:, b, :] = (cfg.k2 * pair + cfg.k1 * pair.T) / (cfg.alpha * (cfg.k1 + cfg.k2))
     idx = np.arange(n)

@@ -33,6 +33,38 @@ def _reference_score_tensor(pattern, cfg):
     return tensor
 
 
+def _reference_matmul_tensor(pattern, cfg):
+    """Slow reference: the per-middle-page matmul build with every N x C pass
+    in float64."""
+    n = pattern.num_wordlines
+    levels = pattern.cells.astype(np.float64)
+    erased = (pattern.cells == 0).astype(np.float64)
+    sign = 2.0 * erased - 3.0
+    work = np.empty_like(levels)
+    tensor = np.empty((n, n, n), dtype=np.float64)
+    for b in range(n):
+        mid = levels[b]
+        headroom = 16 - mid
+        coupled = headroom * (mid != 0)
+        np.subtract(levels, mid, out=work)
+        np.abs(work, out=work)
+        np.subtract(16, work, out=work)
+        row_term = work @ (5.0 * headroom) - 3.0 * (erased @ (headroom * coupled))
+        work *= coupled
+        work *= sign
+        pair = work @ erased.T
+        pair += row_term[:, None]
+        tensor[:, b, :] = (cfg.k2 * pair + cfg.k1 * pair.T) / (cfg.alpha * (cfg.k1 + cfg.k2))
+    tensor[_repeated_index_mask(n)] = 0.0
+    return tensor
+
+
+def _reference_block_score(pattern, cfg):
+    """Slow reference: indexes the score table with three N-2 x C arrays."""
+    cells = pattern.cells
+    return float(score_table(cfg)[cells[:-2], cells[1:-1], cells[2:]].sum())
+
+
 def _repeated_index_mask(n):
     idx = np.arange(n)
     return (
@@ -204,7 +236,8 @@ def tensor_cases(draw):
     kind = rng.integers(0, 3, size=c)
     cells[:, kind == 1] = 0
     cells[:, kind == 2] = 15
-    return BlockPattern(cells.astype(np.uint8)), cfg
+    dtype = draw(st.sampled_from([np.uint8, np.int16, np.int64]))
+    return BlockPattern(cells.astype(dtype)), cfg
 
 
 @given(tensor_cases())
@@ -214,6 +247,14 @@ def test_tensor_matches_gather_reference(case):
     tensor = build_score_tensor(pattern, cfg)
     np.testing.assert_allclose(tensor, _reference_score_tensor(pattern, cfg), rtol=1e-12, atol=0)
     assert np.all(tensor[_repeated_index_mask(pattern.num_wordlines)] == 0.0)
+
+
+@given(tensor_cases())
+@settings(max_examples=80, deadline=None)
+def test_tensor_and_block_score_are_bit_identical_to_float_references(case):
+    pattern, cfg = case
+    assert np.array_equal(build_score_tensor(pattern, cfg), _reference_matmul_tensor(pattern, cfg))
+    assert block_score(pattern, cfg).hex() == _reference_block_score(pattern, cfg).hex()
 
 
 @pytest.mark.parametrize("k1,k2,alpha", [(4.0, 1.0, 1.0), (2.5, 0.3, 2.0), (1.0, 7.0, 1.0)])
