@@ -13,7 +13,8 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,13 +68,13 @@ def _load_blocks(data_dir: str) -> tuple[list[str], list[BlockPattern]]:
     return paths, [_load_pattern(p) for p in paths]
 
 
-def _arch_for(blocks: list[BlockPattern], overrides: dict | None = None) -> ArchConfig:
+def _arch_for(blocks: list[BlockPattern], document: dict | None = None) -> ArchConfig:
+    """The dataset's geometry, with the run config's 'arch' section when given."""
     n, c = blocks[0].num_wordlines, blocks[0].cells_per_page
     for b in blocks[1:]:
         if (b.num_wordlines, b.cells_per_page) != (n, c):
             raise InvalidArgument("blocks in the dataset have inconsistent dimensions")
-    overrides = overrides or {}
-    return ArchConfig(num_wordlines=n, cells_per_page=c, **overrides)
+    return _section(document or {}, "arch", ArchConfig, num_wordlines=n, cells_per_page=c)
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +125,27 @@ def _read_config_file(path: str | None) -> dict:
     return parse_run_config(document)
 
 
-def _retention_from(document: dict, seed_override: int | None) -> RetentionConfig:
-    kwargs = dict(document.get("retention", {}))
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    return RetentionConfig(**kwargs)
+def _section(document: dict, name: str, cls, **fixed):
+    """Build the dataclass ``cls`` from run-config section ``name``.
+
+    Each value must have the JSON type its field annotation names: an int
+    field takes an integer, a float field any number, ``float | None`` also
+    null; a bool is never a number. ``fixed`` holds fields the data decides;
+    the section may repeat them only with the same value.
+    """
+    values = document.get(name, {})
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        hint = hints[key]
+        accepted = set(typing.get_args(hint)) or {hint}
+        if float in accepted:
+            accepted.add(int)
+        if type(value) not in accepted:
+            hint_name = getattr(hint, "__name__", hint)
+            raise InvalidArgument(f"{name}.{key} must be {hint_name}, got {value!r}")
+        if key in fixed and value != fixed[key]:
+            raise InvalidArgument(f"{name}.{key}={value!r} disagrees with the data's {fixed[key]}")
+    return cls(**{**values, **fixed})
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +265,12 @@ def cmd_arrange(args) -> int:
 def cmd_train(args) -> int:
     config = _read_config_file(args.config)
     _, blocks = _load_blocks(args.data_dir)
-    cfg = _arch_for(blocks, config.get("arch"))
-    traincfg = neural.TrainConfig(**config.get("train", {}))
-    network = config.get("network", {})
-    netcfg = neural.NetworkConfig(
-        input_dim=cfg.cells_per_page,
-        hidden_size=network.get("hidden_size", 16),
-        output_dim=cfg.num_wordlines,
-        num_linear_layers=network.get("num_linear_layers", 1),
+    cfg = _arch_for(blocks, config)
+    traincfg = _section(config, "train", neural.TrainConfig)
+    config.setdefault("network", {}).setdefault("hidden_size", 16)  # the CLI's default width
+    netcfg = _section(
+        config, "network", neural.NetworkConfig,
+        input_dim=cfg.cells_per_page, output_dim=cfg.num_wordlines,
     )
     train_blocks, test_blocks = data_io.split_dataset(blocks, traincfg.seed)
     tensors = [scoring.build_score_tensor(block, cfg) for block in train_blocks]
@@ -296,58 +311,14 @@ def cmd_simulate(args) -> int:
         except (ArrangeError, OSError) as exc:
             raise _fail_data(exc, f"cannot read mapping {args.map}") from exc
         pattern = apply_permutation(pattern, table.as_permutation())
-    config = _read_config_file(args.retention_config)
-    rcfg = _retention_from(config, args.seed)
+    rcfg = _section(_read_config_file(args.retention_config), "retention", RetentionConfig)
+    if args.seed is not None:
+        rcfg = replace(rcfg, seed=args.seed)
     score = scoring.block_score(pattern, cfg)
     voltages = simulate_retention(pattern, cfg, rcfg)
     ber = measure_ber(pattern, read_back(voltages))
     print(f"score={score!r} ber={ber:.6f}")
     return EXIT_OK
-
-
-@dataclass
-class _CompareRow:
-    solver: str
-    mean_score: float
-    min_score: float
-    max_score: float
-    mean_uplift_pct: float
-    wall_time: float
-    error: str | None = None
-
-
-class ComparisonReport:
-    """Per-solver score summary across a dataset, renderable as text or CSV."""
-
-    FIELDS = ("solver", "mean_score", "min_score", "max_score", "mean_uplift_pct", "wall_time_s")
-
-    def __init__(self, rows: list[_CompareRow]):
-        self.rows = rows
-
-    def to_text(self) -> str:
-        header = f"{'solver':<12}{'mean_score':>16}{'min_score':>16}{'max_score':>16}{'uplift%':>10}{'time_s':>10}"
-        lines = [header]
-        for row in self.rows:
-            if row.error is not None:
-                lines.append(f"{row.solver:<12}  error: {row.error}")
-                continue
-            lines.append(
-                f"{row.solver:<12}{row.mean_score:>16.2f}{row.min_score:>16.2f}"
-                f"{row.max_score:>16.2f}{row.mean_uplift_pct:>10.3f}{row.wall_time:>10.3f}"
-            )
-        return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        lines = [",".join(self.FIELDS)]
-        for row in self.rows:
-            if row.error is not None:
-                lines.append(f"{row.solver},error,error,error,error,error")
-                continue
-            lines.append(
-                f"{row.solver},{row.mean_score!r},{row.min_score!r},"
-                f"{row.max_score!r},{row.mean_uplift_pct!r},{row.wall_time!r}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def cmd_compare(args) -> int:
@@ -360,40 +331,33 @@ def cmd_compare(args) -> int:
     model = _load_model(args.model)
     identity_scores = [scoring.block_score(b, cfg) for b in blocks]
 
-    rows = []
+    text = [f"{'solver':<12}{'mean_score':>16}{'min_score':>16}{'max_score':>16}{'uplift%':>10}{'time_s':>10}"]
+    rows = ["solver,mean_score,min_score,max_score,mean_uplift_pct,wall_time_s"]
     failed = False
     for name in requested:
         scores, uplifts = [], []
         elapsed = 0.0
-        error = None
-        for index, block in enumerate(blocks):
-            opts = _SolverOptions(args.iterations, args.seed + index, model=model)
-            try:
+        try:
+            for index, (block, identity) in enumerate(zip(blocks, identity_scores)):
+                opts = _SolverOptions(args.iterations, args.seed + index, model=model)
                 result = SOLVERS[name](block, cfg, opts)
-            except ArrangeError as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                failed = True
-                break
-            scores.append(result.score)
-            uplifts.append(100.0 * (result.score - identity_scores[index]) / identity_scores[index])
-            elapsed += result.elapsed
-        if error is not None:
-            rows.append(_CompareRow(name, 0.0, 0.0, 0.0, 0.0, 0.0, error=error))
+                scores.append(result.score)
+                uplifts.append(100.0 * (result.score - identity) / identity)
+                elapsed += result.elapsed
+        except ArrangeError as exc:
+            failed = True
+            text.append(f"{name:<12}  error: {type(exc).__name__}: {exc}")
+            rows.append(f"{name},error,error,error,error,error")
             continue
-        rows.append(
-            _CompareRow(
-                name,
-                float(np.mean(scores)),
-                float(np.min(scores)),
-                float(np.max(scores)),
-                float(np.mean(uplifts)),
-                elapsed,
-            )
+        mean, low, high = float(np.mean(scores)), float(np.min(scores)), float(np.max(scores))
+        uplift = float(np.mean(uplifts))
+        text.append(
+            f"{name:<12}{mean:>16.2f}{low:>16.2f}{high:>16.2f}{uplift:>10.3f}{elapsed:>10.3f}"
         )
-    report = ComparisonReport(rows)
-    print(report.to_text())
+        rows.append(f"{name},{mean!r},{low!r},{high!r},{uplift!r},{elapsed!r}")
+    print("\n".join(text))
     if args.csv:
-        Path(args.csv).write_text(report.to_csv())
+        Path(args.csv).write_text("\n".join(rows) + "\n")
     return EXIT_USAGE if failed else EXIT_OK
 
 

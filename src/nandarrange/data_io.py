@@ -22,12 +22,11 @@ from typing import Callable
 
 import numpy as np
 
-from .core import LEVELS, ArchConfig, BlockPattern, Permutation
+from .core import LEVELS, ArchConfig, BlockPattern, Permutation, validate_levels
 from .errors import (
     BadMagic,
     InvalidArgument,
     LevelOutOfRange,
-    NotABijection,
     TooFewBlocks,
     TruncatedFile,
     UnsupportedVersion,
@@ -92,9 +91,7 @@ class MappingTable:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.entries)
-        if sorted(self.entries) != list(range(n)):
-            raise NotABijection(f"mapping entries are not a bijection on 0..{n - 1}")
+        self.as_permutation()  # raises NotABijection unless the entries are a bijection
 
     def as_permutation(self) -> Permutation:
         return Permutation(self.entries)
@@ -141,22 +138,16 @@ def read_mapping_table(data: bytes) -> MappingTable:
 
 
 def write_pattern(pattern: BlockPattern) -> bytes:
-    cells = pattern.cells
-    if cells.size and (cells.min() < 0 or cells.max() >= LEVELS):
-        raise LevelOutOfRange("pattern holds levels outside 0..15, refusing to encode")
+    validate_levels(pattern)
     header = pack_header(PATTERN_MAGIC, "II", pattern.num_wordlines, pattern.cells_per_page)
-    return header + cells.astype(np.uint8).tobytes(order="C")
+    return header + pattern.cells.astype(np.uint8).tobytes(order="C")
 
 
 def read_pattern(data: bytes) -> BlockPattern:
     (n, c), payload = unpack_header(data, PATTERN_MAGIC, "II", lambda n, c: n * c)
-    cells = np.frombuffer(payload, dtype=np.uint8).reshape(n, c)
-    if cells.size and cells.max() >= LEVELS:
-        row, col = np.argwhere(cells >= LEVELS)[0]
-        raise LevelOutOfRange(
-            f"cell ({row}, {col}) holds byte {int(cells[row, col])}, allowed 0..{LEVELS - 1}"
-        )
-    return BlockPattern(cells)
+    pattern = BlockPattern(np.frombuffer(payload, dtype=np.uint8).reshape(n, c))
+    validate_levels(pattern)
+    return pattern
 
 
 def save_pattern(path: str | Path, pattern: BlockPattern) -> None:

@@ -55,6 +55,13 @@ class RetentionConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise InvalidArgument(f"{name} must be finite and non-negative, got {value}")
+        # The largest drift any cell can take must stay finite, or inf * 0 makes NaN.
+        if not math.isfinite(
+            self.coupling * self.time * (1 + self.saturation_gain) * FULL_EXPOSURE_DRIFT
+        ):
+            raise InvalidArgument(
+                "coupling * time * (1 + saturation_gain) * 15, the largest drift, overflows"
+            )
 
 
 def _exposure_table(cfg: ArchConfig) -> np.ndarray:

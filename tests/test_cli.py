@@ -248,6 +248,52 @@ class TestTrainCommand:
         assert code == 1
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "command, document",
+        [
+            ("train", {"train": {"epochs": 1.5}}),
+            ("train", {"train": {"epochs": True}}),
+            ("train", {"train": {"seed": 1.5}}),
+            ("train", {"train": {"learning_rate": "x"}}),
+            ("train", {"network": {"hidden_size": 2.5}}),
+            ("train", {"arch": {"num_wordlines": 5}}),
+            ("train", {"arch": {"cells_per_page": 4}}),
+            ("simulate", {"retention": {"coupling": "x"}}),
+            ("simulate", {"retention": {"coupling": 1e200, "time": 1e200}}),
+        ],
+    )
+    def test_bad_value_exits_1_with_typed_error(self, tmp_path, capsys, command, document):
+        data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=8)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(document))
+        if command == "train":
+            argv = ["train", "--data-dir", str(data), "--config", str(config),
+                    "--out-model", str(tmp_path / "m.pdaw")]
+        else:
+            argv = ["simulate", "--in", str(next(data.glob("*.pdap"))),
+                    "--retention-config", str(config)]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert "InvalidArgument" in err
+        assert "Traceback" not in err
+
+    def test_matching_arch_int_for_float_and_null_are_accepted(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=8)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "arch": {"num_wordlines": 4, "cells_per_page": 8},
+            "network": {"hidden_size": 2},
+            "train": {"epochs": 1, "learning_rate": 1, "gradient_clip_norm": None},
+        }))
+        code, _, _ = run(
+            ["train", "--data-dir", str(data), "--config", str(config),
+             "--out-model", str(tmp_path / "m.pdaw")],
+            capsys,
+        )
+        assert code == 0
+
+
 class TestSimulate:
     def test_zero_physics_zero_ber(self, tmp_path, capsys):
         data = gen_dataset(tmp_path, capsys, blocks=1, wordlines=5, cells=8)
@@ -294,6 +340,56 @@ class TestCompare:
         means = {name: float(row[1]) for name, row in rows.items()}
         assert means["exhaustive"] >= means["greedy"]
         assert means["exhaustive"] >= means["random"]
+
+    def test_report_is_pinned(self, tmp_path, capsys):
+        # Recorded from the report before it was built in one pass; the
+        # wall-time column is left out.
+        data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=6, cells=8, seed=4)
+        csv_path = tmp_path / "report.csv"
+        code, out, _ = run(
+            [
+                "compare",
+                "--data-dir", str(data),
+                "--solvers", "exhaustive,greedy,sa,random",
+                "--iterations", "50",
+                "--seed", "2",
+                "--csv", str(csv_path),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert [line[:-10] for line in out.splitlines()] == [
+            "solver            mean_score       min_score       max_score   uplift%",
+            "exhaustive          15759.52        13615.00        17660.20    19.815",
+            "greedy              15725.24        13615.00        17660.20    19.541",
+            "sa                  15725.24        13615.00        17660.20    19.541",
+            "random              15346.22        13261.00        16912.20    16.779",
+        ]
+        csv_text = csv_path.read_text()
+        assert csv_text.endswith("\n")
+        assert [line.rsplit(",", 1)[0] for line in csv_text.splitlines()] == [
+            "solver,mean_score,min_score,max_score,mean_uplift_pct",
+            "exhaustive,15759.52,13615.0,17660.2,19.814616330228652",
+            "greedy,15725.240000000002,13615.0,17660.2,19.540664742872988",
+            "sa,15725.240000000002,13615.0,17660.2,19.540664742872988",
+            "random,15346.220000000001,13261.0,16912.2,16.778767773613758",
+        ]
+
+    def test_error_row(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=10, cells=2)
+        csv_path = tmp_path / "report.csv"
+        code, out, _ = run(
+            ["compare", "--data-dir", str(data), "--solvers", "greedy,exhaustive",
+             "--csv", str(csv_path)],
+            capsys,
+        )
+        assert code == 1
+        _, greedy, exhaustive = out.splitlines()
+        assert greedy.startswith("greedy               8128.44         6320.00         9393.00    54.492")
+        assert exhaustive.startswith("exhaustive    error: TooManyWordlines: ")
+        _, greedy, exhaustive = csv_path.read_text().splitlines()
+        assert greedy.startswith("greedy,8128.44,6320.0,9393.0,54.49249395599403,")
+        assert exhaustive == "exhaustive,error,error,error,error,error"
 
     def test_unknown_solver_rejected(self, tmp_path, capsys):
         data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=5, cells=4)

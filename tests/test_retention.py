@@ -85,6 +85,28 @@ def test_config_rejects_non_finite_fields(field, value):
         RetentionConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"coupling": 1e200, "time": 1e200},
+        {"coupling": 1e300, "saturation_gain": 1e10},
+        {"time": 1e308},
+    ],
+)
+def test_config_rejects_overflowing_drift(fields):
+    with pytest.raises(InvalidArgument):
+        RetentionConfig(**fields)
+
+
+def test_largest_finite_drift_reads_back():
+    cfg = ArchConfig(num_wordlines=4, cells_per_page=3)
+    block = gen_random_block(cfg, seed=1)
+    rcfg = RetentionConfig(coupling=1e150, time=1e150, noise_sigma=0.0)
+    voltages = simulate_retention(block, cfg, rcfg)
+    assert np.isfinite(voltages).all()
+    assert 0.0 <= measure_ber(block, read_back(voltages)) <= 1.0
+
+
 class TestSimulateRetention:
     def test_no_physics_is_identity(self):
         cfg = ArchConfig(num_wordlines=5, cells_per_page=6)
