@@ -129,9 +129,10 @@ def _section(document: dict, name: str, cls, **fixed):
     """Build the dataclass ``cls`` from run-config section ``name``.
 
     Each value must have the JSON type its field annotation names: an int
-    field takes an integer, a float field any number, ``float | None`` also
-    null; a bool is never a number. ``fixed`` holds fields the data decides;
-    the section may repeat them only with the same value.
+    field takes an integer, a float field any number up to the largest float,
+    ``float | None`` also null; a bool is never a number. ``fixed`` holds
+    fields the data decides; the section may repeat them only with the same
+    value.
     """
     values = document.get(name, {})
     hints = typing.get_type_hints(cls)
@@ -143,6 +144,8 @@ def _section(document: dict, name: str, cls, **fixed):
         if type(value) not in accepted:
             hint_name = getattr(hint, "__name__", hint)
             raise InvalidArgument(f"{name}.{key} must be {hint_name}, got {value!r}")
+        if float in accepted and type(value) is int and abs(value) > sys.float_info.max:
+            raise InvalidArgument(f"{name}.{key} is an integer beyond the float range")
         if key in fixed and value != fixed[key]:
             raise InvalidArgument(f"{name}.{key}={value!r} disagrees with the data's {fixed[key]}")
     return cls(**{**values, **fixed})

@@ -84,7 +84,7 @@ class Permutation:
         order = tuple(int(v) for v in self.order)
         n = len(order)
         if sorted(order) != list(range(n)):
-            raise NotABijection(f"not a bijection on 0..{n - 1}: {order}")
+            raise NotABijection(_bijection_fault(order))
         object.__setattr__(self, "order", order)
 
     @classmethod
@@ -100,6 +100,22 @@ class Permutation:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.order, dtype=np.int64)
+
+
+def _bijection_fault(order: tuple[int, ...]) -> str:
+    """Why ``order`` is no bijection, in a few words whatever its length."""
+    n = len(order)
+    missing = min(set(range(n)).difference(order))
+    seen = set()
+    for value in order:
+        if value in seen or not 0 <= value < n:
+            break
+        seen.add(value)
+    kind = "repeats" if value in seen else "is out of range"
+    return (
+        f"not a bijection on 0..{n - 1} (N={n}): entry {value} {kind}, "
+        f"page {missing} is missing"
+    )
 
 
 def validate_pattern(pattern: BlockPattern, cfg: ArchConfig) -> None:

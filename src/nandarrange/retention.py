@@ -40,6 +40,9 @@ _BIT_FLIPS = np.array(
 # of that worst case.
 EXPOSURE_THRESHOLD = 0.25
 FULL_EXPOSURE_DRIFT = 15.0
+# Cells per take call in _gather: its intp copy of the index stays within
+# 1 MiB, or one row of the index when a row is longer.
+_GATHER_CELLS = 2**17
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,19 @@ class RetentionConfig:
             )
 
 
+def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """out[...] = table.ravel()[index], a bounded slab of rows at a time.
+
+    take converts its whole index to intp first, so one call over the
+    (N-2) x C uint16 index would copy it at 8 bytes a cell. The index is in
+    range by construction; mode="clip" keeps take from buffering a copy of
+    its output.
+    """
+    rows = max(1, _GATHER_CELLS // index.shape[1])
+    for start in range(0, len(index), rows):
+        np.take(table, index[start : start + rows], out=out[start : start + rows], mode="clip")
+
+
 def _exposure_table(cfg: ArchConfig) -> np.ndarray:
     """16x16x16 exposure of every level triple, from alpha-normalized scores."""
     lut = score_table(replace(cfg, alpha=1.0))
@@ -80,7 +96,7 @@ def cell_exposure(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     """
     index = triple_index(pattern, cfg)
     exposure = np.zeros(pattern.cells.shape, dtype=np.float64)
-    np.take(_exposure_table(cfg), index, out=exposure[1:-1], mode="clip")
+    _gather(_exposure_table(cfg), index, exposure[1:-1])
     return exposure
 
 
@@ -113,9 +129,8 @@ def simulate_retention(
 
     voltages = np.empty(pattern.cells.shape, dtype=np.float64)
     voltages[[0, -1]] = pattern.cells[[0, -1]]
-    # The index is in range by construction; mode="clip" keeps take from
-    # buffering a copy of its output.
-    np.take(mid + drift, index, out=voltages[1:-1], mode="clip")
+    _gather(mid + drift, index, voltages[1:-1])
+    del index  # not needed past the gather; the noise draw is a full-size array
     if rcfg.noise_sigma > 0:
         rng = np.random.Generator(np.random.PCG64(rcfg.seed))
         voltages += rng.normal(0.0, rcfg.noise_sigma, size=voltages.shape)

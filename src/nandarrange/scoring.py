@@ -122,6 +122,19 @@ def block_score(pattern: BlockPattern, cfg: ArchConfig) -> float:
     return float(score_table(cfg).ravel()[triple_index(pattern, cfg)].sum())
 
 
+# Column blocks of the score-tensor build. A block's (N, N, k) float32 buffer
+# holds at most _BLOCK_ELEMENTS entries (1 MiB), and k stays at or below
+# _EXACT_BLOCK_CELLS so that 720 k < 2^24: every float32 sum in a block is an
+# exact integer (see build_score_tensor).
+_BLOCK_ELEMENTS = 2**18
+_EXACT_BLOCK_CELLS = 16_384
+
+
+def _block_width(num_wordlines: int) -> int:
+    """Cells per column block of the score-tensor build at N wordlines."""
+    return max(1, min(_EXACT_BLOCK_CELLS, _BLOCK_ELEMENTS // num_wordlines**2))
+
+
 def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     """N x N x N tensor of page-triple scores over ordered source-page triples.
 
@@ -131,25 +144,39 @@ def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     any arrangement sigma equals the sum of entries
     (sigma[t], sigma[t+1], sigma[t+2]) over t.
 
-    Built per middle page b without the 16^3 table. With x = pattern.cells,
-    m_i = x[b, i], w_i = 16 - m_i, z_i = [m_i != 0], e_ai = [x[a, i] = 0] and
+    Built without the 16^3 table. With x = pattern.cells, m_i = x[b, i],
+    w_i = 16 - m_i, z_i = [m_i != 0], e_ai = [x[a, i] = 0] and
     D_ai = 16 - |x[a, i] - m_i|, the coupling coefficient is
     5 - z_i (3 e_ai + 3 e_ci - 2 e_ai e_ci), so summing cell_score over the
     bitlines gives
 
-        M_b[a, c] = r_a + sum_i w_i z_i D_ai (2 e_ai - 3) e_ci
-        r_a       = sum_i D_ai w_i (5 - 3 z_i e_ai)
-        T[a, b, c] = (k2 M_b[a, c] + k1 M_b[c, a]) / (alpha (k1 + k2)),
+        M[a, b, c] = r[a, b] + p[a, b, c],   p[a, b, c] = sum_i P[a, b, i] e_ci
+        Q[a, b, i] = D_ai w_i,   P[a, b, i] = Q[a, b, i] z_i (2 e_ai - 3)
+        r[a, b]    = 5 sum_i Q[a, b, i] - 3 sum_i Q[a, b, i] z_i e_ai
+                   = 5 sum_i Q[a, b, i] + 3 p[a, b, a]
+        T[a, b, c] = (k2 M[a, b, c] + k1 M[c, b, a]) / (alpha (k1 + k2)).
 
-    one N x C by C x N matmul per b. Every product and partial sum in M_b is
-    an integer of magnitude at most 1280 C, far below 2^53 for any C a PDAP
-    file can hold, so M_b is exact in float64 whatever the BLAS summation
-    order or thread count; rounding happens only in the final
-    combination with k1, k2 and alpha. Memory is O(N C + N^3) at any C.
+    The second form of r holds because (2 e_ai - 3) e_ai = -e_ai, so r is
+    read off the pair sums once the last block is in, and added per middle
+    page as T is formed.
 
-    The N x C passes (|x - m|, the coupling and the sign) run in int16, where
-    every value is at most 768 in magnitude, and each operand is converted to
-    float64 once, just before its matmul.
+    The page is walked in column blocks of k = _block_width(N) cells (C if
+    fewer). A block forms Q, then P, for all N^2 (a, b) pairs in one reused
+    (N, N, k) float32 buffer; a float32 matrix-vector product sums Q over the
+    block into a float64 (N, N) accumulator, and one (N^2, k) by (k, N)
+    float32 matmul adds the block's p into the float64 tensor.
+
+    Exactness: every Q entry is an integer in [0, 256] and every P entry an
+    integer in [-720, 0] (16 * 15 * 3), so any partial sum of a block, in any
+    order, is an integer of magnitude at most 720 k < 2^24 for k <= 16,384:
+    the float32 block sums are exact whatever the BLAS blocking or thread
+    count. The float64 accumulators hold integers of magnitude below 4000 C,
+    far below 2^53 for any C a PDAP file can hold, so M is exact and rounding
+    happens only in the final combination with k1, k2 and alpha.
+
+    Memory is O(N^2 k + N^3) whatever C: the float32 block stays within
+    1 MiB (2^18 entries), the matmul output is N^3 float32, and the float64
+    tensor doubles as the accumulator.
     """
     global _tensor_builds
     if pattern.num_wordlines < 3:
@@ -157,32 +184,39 @@ def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
             f"score tensor needs >= 3 wordlines, got {pattern.num_wordlines}"
         )
     validate_pattern(pattern, cfg)
-    n = pattern.num_wordlines
-    # Signed levels: x - m in the pattern's own (possibly unsigned) dtype wraps.
-    levels = pattern.cells.astype(np.int16)
-    programmed = levels != ERASED
-    sign = np.where(programmed, np.int16(-3), np.int16(-1))
-    headroom = LEVELS - levels
-    coupled = headroom * programmed
-    erased = (~programmed).astype(np.float64)
-    # The second r_a term for every b at once: D_ai e_ai = w_i e_ai.
-    erased_term = erased @ (headroom * coupled).T.astype(np.float64)
-    work = np.empty_like(levels)
-    exact = np.empty(levels.shape, dtype=np.float64)
+    n, c = pattern.cells.shape
+    width = min(_block_width(n), c)
+    buffer = np.empty(n * n * width, dtype=np.float32)
+    ones = np.ones(width, dtype=np.float32)
+    products = np.empty((n * n, n), dtype=np.float32)
+    row_sums = np.zeros(n * n, dtype=np.float64)
+    # Not np.zeros: its fresh calloc pages fault in during the first block's
+    # add, which measured several times slower than this fill at N=64.
     tensor = np.empty((n, n, n), dtype=np.float64)
-    for b in range(n):
-        np.subtract(levels, levels[b], out=work)
-        np.abs(work, out=work)
-        np.subtract(LEVELS, work, out=work)
-        np.copyto(exact, work)
-        row_term = exact @ (5.0 * headroom[b]) - 3.0 * erased_term[:, b]
-        work *= coupled[b]
-        work *= sign
-        np.copyto(exact, work)
-        pair = exact @ erased.T
-        pair += row_term[:, None]
-        tensor[:, b, :] = (cfg.k2 * pair + cfg.k1 * pair.T) / (cfg.alpha * (cfg.k1 + cfg.k2))
+    pair_sums = tensor.reshape(n * n, n)
+    pair_sums.fill(0.0)
+    for start in range(0, c, width):
+        levels = pattern.cells[:, start : start + width].astype(np.float32)
+        k = levels.shape[1]
+        erased = (levels == ERASED).astype(np.float32)
+        block = buffer[: n * n * k].reshape(n, n, k)
+        # block[a, b] = Q[a, b] = (16 - |x_a - m|) w, then P = Q z (2 e_a - 3).
+        np.subtract(levels[:, None, :], levels[None, :, :], out=block)
+        np.abs(block, out=block)
+        np.subtract(LEVELS, block, out=block)
+        block *= (LEVELS - levels)[None, :, :]
+        flat = block.reshape(n * n, k)
+        row_sums += flat @ ones[:k]
+        block *= (1 - erased)[None, :, :]
+        block *= (2 * erased - 3)[:, None, :]
+        np.matmul(flat, erased.T, out=products)
+        pair_sums += products
     idx = np.arange(n)
+    row_terms = 5 * row_sums.reshape(n, n) + 3 * tensor[idx, :, idx]
+    scale = cfg.alpha * (cfg.k1 + cfg.k2)
+    for b in range(n):
+        pair = tensor[:, b, :] + row_terms[:, b, None]
+        tensor[:, b, :] = (cfg.k2 * pair + cfg.k1 * pair.T) / scale
     tensor[idx, idx, :] = 0.0
     tensor[:, idx, idx] = 0.0
     tensor[idx, :, idx] = 0.0

@@ -14,6 +14,7 @@ from nandarrange import (
     tensor_build_count,
 )
 from nandarrange.cli import main, parse_run_config
+from nandarrange.data_io import MAPPING_MAGIC, pack_header
 from nandarrange.errors import InvalidArgument
 
 
@@ -261,6 +262,8 @@ class TestConfigErrors:
             ("train", {"arch": {"cells_per_page": 4}}),
             ("simulate", {"retention": {"coupling": "x"}}),
             ("simulate", {"retention": {"coupling": 1e200, "time": 1e200}}),
+            ("simulate", {"retention": {"coupling": 10**400}}),
+            ("train", {"train": {"learning_rate": 10**400}}),
         ],
     )
     def test_bad_value_exits_1_with_typed_error(self, tmp_path, capsys, command, document):
@@ -316,6 +319,17 @@ class TestSimulate:
         _, out_with, _ = run(["simulate", "--in", str(block), "--map", str(ident)], capsys)
         _, out_without, _ = run(["simulate", "--in", str(block)], capsys)
         assert out_with == out_without
+
+    def test_non_bijective_map_at_the_format_limit_exits_2_briefly(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, capsys, blocks=1, wordlines=5, cells=8)
+        bad = tmp_path / "zeros.pdam"
+        bad.write_bytes(pack_header(MAPPING_MAGIC, "H", 65_535) + bytes(2 * 65_535))
+        code, _, err = run(
+            ["simulate", "--in", str(next(data.glob("*.pdap"))), "--map", str(bad)], capsys
+        )
+        assert code == 2
+        assert "NotABijection" in err
+        assert len(err) < 200 + len(str(bad))
 
 
 class TestCompare:

@@ -75,6 +75,19 @@ class TestPermutation:
         with pytest.raises(NotABijection):
             Permutation(bad)
 
+    @pytest.mark.parametrize(
+        "bad, fault",
+        [
+            ((0,) * 65_535, "entry 0 repeats, page 1 is missing"),
+            (tuple(range(1, 65_536)), "entry 65535 is out of range, page 0 is missing"),
+        ],
+    )
+    def test_message_names_first_fault_and_stays_short(self, bad, fault):
+        with pytest.raises(NotABijection) as info:
+            Permutation(bad)
+        assert "N=65535" in str(info.value) and fault in str(info.value)
+        assert len(str(info.value)) < 200
+
     def test_apply_identity_is_noop(self):
         p = pattern_of([[1, 2], [3, 4], [5, 6]])
         out = apply_permutation(p, Permutation.identity(3))

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -151,22 +150,41 @@ class TestSimulateRetention:
         with pytest.raises(LevelOutOfRange):
             cell_exposure(BlockPattern(np.array([[0], [16], [0]], dtype=np.uint8)), CFG3)
 
-    def test_memory_is_bounded_at_paper_scale(self):
+    def test_memory_is_bounded_at_paper_scale(self, peak_bytes):
         # The per-cell reference holds about ten N x C float64 temporaries
         # (about 144 MiB here); the table gather needs only the result, the
         # noise draw and the uint16 triple index.
         cfg = ArchConfig(num_wordlines=16, cells_per_page=147_456)
         block = gen_random_block(cfg, seed=5)
         bound = 3 * cfg.num_wordlines * cfg.cells_per_page * 8
-        peaks = []
-        for simulate in (simulate_retention, _reference_simulate_retention):
-            tracemalloc.start()
-            try:
-                simulate(block, cfg, RetentionConfig(seed=5))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [
+            peak_bytes(simulate, block, cfg, RetentionConfig(seed=5))
+            for simulate in (simulate_retention, _reference_simulate_retention)
+        ]
         assert peaks[0] < bound < peaks[1]
+
+    def test_exposure_gather_does_not_copy_the_index(self, peak_bytes):
+        # np.take converts its index to intp; over the whole (N-2) x C uint16
+        # index that copy alone is 15.75 MiB here. Row slabs keep it small.
+        cfg = ArchConfig(num_wordlines=16, cells_per_page=147_456)
+        block = gen_random_block(cfg, seed=6)
+        result = cfg.num_wordlines * cfg.cells_per_page * 8
+        index = (cfg.num_wordlines - 2) * cfg.cells_per_page * 2
+        assert peak_bytes(cell_exposure, block, cfg) < result + index + 4 * 2**20
+        assert np.array_equal(cell_exposure(block, cfg), _reference_cell_exposure(block, cfg))
+
+    @pytest.mark.parametrize("slab_cells", [7, 9, 30])
+    def test_gather_slabs_do_not_change_values(self, monkeypatch, slab_cells):
+        # One row per slab when a row is longer than the slab (7) or exactly
+        # fills it (9); three rows with a shorter last slab (30).
+        monkeypatch.setattr("nandarrange.retention._GATHER_CELLS", slab_cells)
+        cfg = ArchConfig(num_wordlines=12, cells_per_page=9)
+        block = gen_random_block(cfg, seed=8)
+        rcfg = RetentionConfig(seed=8)
+        assert np.array_equal(cell_exposure(block, cfg), _reference_cell_exposure(block, cfg))
+        assert np.array_equal(
+            simulate_retention(block, cfg, rcfg), _reference_simulate_retention(block, cfg, rcfg)
+        )
 
     def test_deterministic_given_seed(self):
         cfg = ArchConfig(num_wordlines=4, cells_per_page=8)

@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,13 @@ from nandarrange import (
     page_triple_score,
 )
 from nandarrange.errors import LengthMismatch, LevelOutOfRange, TooFewWordlines
-from nandarrange.scoring import score_table, tensor_build_count
+from nandarrange.scoring import (
+    _BLOCK_ELEMENTS,
+    _EXACT_BLOCK_CELLS,
+    _block_width,
+    score_table,
+    tensor_build_count,
+)
 
 CFG = ArchConfig(num_wordlines=4, cells_per_page=8)
 
@@ -298,18 +303,60 @@ class TestTensorExactness:
             assert np.array_equal(build_score_tensor(BlockPattern(cells), cfg), expected)
 
 
-def test_tensor_build_memory_is_bounded_at_wide_blocks():
+def test_tensor_build_memory_is_bounded_at_wide_blocks(peak_bytes):
     # A gather over all N^3 page triples would need N^3 * C * 8 bytes (8 GiB
-    # here); the build needs a few N x C float arrays plus the N^3 result.
+    # here); the build needs one float32 block, the N^3 result and the
+    # float32 product of each block.
     cfg = ArchConfig(num_wordlines=64, cells_per_page=4096)
     pattern = BlockPattern(np.random.default_rng(24).integers(0, 16, size=(64, 4096), dtype=np.uint8))
-    tracemalloc.start()
-    try:
-        build_score_tensor(pattern, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak_bytes(build_score_tensor, pattern, cfg) < 32 * 2**20
+
+
+def _erase_heavy_block(n, c, seed):
+    rng = np.random.default_rng(seed)
+    cells = np.where(rng.random((n, c)) < 0.4, 0, rng.integers(1, 16, size=(n, c)))
+    return BlockPattern(cells.astype(np.uint8))
+
+
+class TestColumnBlocks:
+    # The build walks the page in column blocks of _block_width(N) cells; its
+    # float32 block sums are exact only while 720 * width < 2^24.
+    def test_block_width_bounds(self):
+        assert 720 * _EXACT_BLOCK_CELLS < 2**24
+        for n in (3, 4, 16, 64, 100, 512, 513, 4096):
+            width = _block_width(n)
+            assert 1 <= width <= _EXACT_BLOCK_CELLS
+            assert n * n * width <= _BLOCK_ELEMENTS or width == 1
+        assert (_block_width(3), _block_width(16), _block_width(64)) == (16_384, 1024, 64)
+
+    @pytest.mark.parametrize("n", [3, 16, 64])
+    @pytest.mark.parametrize("extra", ["k-1", "k", "k+1", "3k+5"])
+    def test_block_boundaries(self, n, extra):
+        k = _block_width(n)
+        c = {"k-1": k - 1, "k": k, "k+1": k + 1, "3k+5": 3 * k + 5}[extra]
+        pattern = _erase_heavy_block(n, c, seed=n * 1000 + c)
+        for k1, k2, alpha in ((4.0, 1.0, 1.0), (2.5, 0.3, 2.0)):
+            cfg = ArchConfig(num_wordlines=n, cells_per_page=c, k1=k1, k2=k2, alpha=alpha)
+            assert np.array_equal(build_score_tensor(pattern, cfg), _reference_matmul_tensor(pattern, cfg))
+
+    def test_worst_case_block_sums_stay_exact(self):
+        # Pages at levels 2, 1, 0 in every column add the odd value
+        # 15 * 15 * (-3) = -675 to the pair sum (0, 1, 2) per column. A block
+        # wider than the exactness bound passes 2^24 with an odd total, where
+        # float32 rounds. (Pages all at level 1 would not show this: their
+        # sums are multiples of 16 and stay exact far past 2^24.)
+        c = 60_000
+        pattern = BlockPattern(np.repeat(np.array([[2], [1], [0]], dtype=np.uint8), c, axis=1))
+        cfg = ArchConfig(num_wordlines=3, cells_per_page=c)
+        assert np.array_equal(build_score_tensor(pattern, cfg), _reference_matmul_tensor(pattern, cfg))
+
+    def test_memory_at_paper_scale_is_independent_of_the_page(self, peak_bytes):
+        # One float32 block is at most 1 MiB whatever C, where a single N x C
+        # float64 operand would take 18 MiB here.
+        cfg = ArchConfig(num_wordlines=16, cells_per_page=147_456)
+        pattern = _erase_heavy_block(16, 147_456, seed=25)
+        assert peak_bytes(build_score_tensor, pattern, cfg) < 4 * 2**20
+        assert np.array_equal(build_score_tensor(pattern, cfg), _reference_matmul_tensor(pattern, cfg))
 
 
 def test_decomposition_identity_random_instances():

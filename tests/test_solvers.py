@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,15 +114,6 @@ def greedy_cases(draw):
     return make_block(kind, n, c, draw(st.integers(0, 2**32 - 1))), cfg
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestExhaustive:
     def test_evaluates_24_permutations_at_n4(self):
         cfg = ArchConfig(num_wordlines=4, cells_per_page=4)
@@ -153,12 +143,12 @@ class TestExhaustive:
         assert result.evaluations == count == math.factorial(n)
         assert result.score.hex() == block_score(apply_permutation(pattern, Permutation(tuple(order))), cfg).hex()
 
-    def test_memory_is_bounded_at_the_limit(self):
+    def test_memory_is_bounded_at_the_limit(self, peak_bytes):
         # The N! x N uint8 table is 3.3 MB at N=9; each column pass adds a
         # few N!-long index and float arrays.
         cfg = ArchConfig(num_wordlines=9, cells_per_page=4)
         pattern = gen_random_block(cfg, seed=9)
-        assert _traced_peak(lambda: exhaustive_best(pattern, cfg)) < 16 * 2**20
+        assert peak_bytes(exhaustive_best, pattern, cfg) < 16 * 2**20
 
     def test_matches_independent_enumeration(self):
         cfg = ArchConfig(num_wordlines=5, cells_per_page=4)
@@ -263,11 +253,11 @@ class TestGreedy:
         assert list(result.perm.order) == order
         assert result.evaluations == count
 
-    def test_memory_is_bounded_by_the_tensor(self):
+    def test_memory_is_bounded_by_the_tensor(self, peak_bytes):
         # O(N^3): the 2 MiB tensor plus a few N(N-1) x N candidate arrays.
         cfg = ArchConfig(num_wordlines=64, cells_per_page=64)
         pattern = gen_random_block(cfg, seed=4)
-        assert _traced_peak(lambda: greedy_arrange(pattern, cfg)) < 16 * 2**20
+        assert peak_bytes(greedy_arrange, pattern, cfg) < 16 * 2**20
 
 
 class TestSimulatedAnnealing:
