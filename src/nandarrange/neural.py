@@ -435,24 +435,30 @@ def extract_permutation(p: np.ndarray) -> Permutation:
 
     Repeatedly claim the largest remaining entry whose row and column are both
     free; ties break on (row, column). Valid even when rowwise argmaxes collide.
+    A stable argsort of the negated, flattened matrix gives that order, since
+    flat index order is (row, column) order. It is read 4N entries at a time,
+    and only entries whose row and column are free at the start of their
+    chunk reach the Python loop: O(N^2) memory, and few Python steps.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise DimensionMismatch(f"probability matrix must be square, got {p.shape}")
     n = p.shape[0]
-    ranked = sorted((-p[i, j], i, j) for i in range(n) for j in range(n))
+    ranked = np.argsort(-p.reshape(-1), kind="stable")
     mapping = [-1] * n
-    row_free = [True] * n
-    col_free = [True] * n
+    row_free = np.ones(n, dtype=bool)
+    col_free = np.ones(n, dtype=bool)
     assigned = 0
-    for _, i, j in ranked:
-        if row_free[i] and col_free[j]:
-            mapping[i] = j
-            row_free[i] = False
-            col_free[j] = False
-            assigned += 1
-            if assigned == n:
-                break
+    for start in range(0, n * n, 4 * n):
+        rows, cols = np.divmod(ranked[start:start + 4 * n], n)
+        free = row_free[rows] & col_free[cols]
+        for i, j in zip(rows[free].tolist(), cols[free].tolist()):
+            if row_free[i] and col_free[j]:
+                mapping[i] = j
+                row_free[i] = col_free[j] = False
+                assigned += 1
+        if assigned == n:
+            break
     return Permutation(tuple(mapping))
 
 

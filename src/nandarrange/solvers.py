@@ -14,10 +14,13 @@ earliest starting pair, and in exhaustive search to the lexicographically
 smallest map: argmax returns the first maximum. Totals accumulate one triple
 per pass, left to right from 0.0, which is the exact float sum that
 _seq_score takes over the same order; a pairwise row sum would round
-differently and could flip a near-tie. Random search and annealing stay
-sequential Python loops over their RNG streams and read single entries
-through a memoryview of the tensor, which returns the same doubles without
-copying it into nested lists.
+differently and could flip a near-tie.
+
+Random search and annealing follow one Python RNG stream each, so their draws
+stay sequential. Random search scores its draws in numpy batches with the
+same left-to-right sums. Annealing reads single entries through a memoryview
+of the tensor, only for the at most six triples a swap touches, and falls
+back to the exact full sum only when a rounding bound cannot settle a step.
 """
 
 from __future__ import annotations
@@ -34,11 +37,16 @@ from .errors import InvalidArgument, TooManyWordlines
 from .scoring import block_score, build_score_tensor
 
 EXHAUSTIVE_LIMIT = 9
+# Random search draws this many permutations per numpy scoring pass.
+_RANDOM_BATCH = 4096
 
 SA_DEFAULT_COOLING = 0.999
 SA_DEFAULT_ITERATIONS = 10_000
 # Auto initial temperature: this fraction of the greedy starting score.
 SA_DEFAULT_T0_FRACTION = 0.05
+# Rounding slack of the annealing step's fast-delta bound; the proof in
+# simulated_annealing needs 2.3.
+_SA_SLACK = 4.0
 
 
 @dataclass(frozen=True)
@@ -120,24 +128,35 @@ def exhaustive_best(pattern: BlockPattern, cfg: ArchConfig) -> SolverResult:
 def random_search(
     pattern: BlockPattern, cfg: ArchConfig, iterations: int, seed: int
 ) -> SolverResult:
-    """Best of `iterations` uniform permutations (Fisher-Yates, Mersenne Twister)."""
+    """Best of `iterations` uniform permutations, each a random.shuffle of the
+    last (Fisher-Yates over one Mersenne Twister stream).
+
+    The draws are sequential; they are scored in numpy batches of
+    _RANDOM_BATCH rows (a 2 MiB index array at N=64), with the same exact
+    left-to-right sums as exhaustive search. The first argmax within a batch
+    and a strict > across batches keep the earliest best draw."""
     if iterations < 1:
         raise InvalidArgument(f"iterations must be >= 1, got {iterations}")
     started = time.perf_counter()
     n = pattern.num_wordlines
-    view = memoryview(build_score_tensor(pattern, cfg))
+    flat = build_score_tensor(pattern, cfg).reshape(-1)
     rng = random.Random(seed)
     best_order = None
     best = -math.inf
     seq = list(range(n))
-    for _ in range(iterations):
-        for k in range(n - 1, 0, -1):
-            j = rng.randrange(k + 1)
-            seq[k], seq[j] = seq[j], seq[k]
-        score = _seq_score(view, seq)
-        if score > best:
-            best = score
-            best_order = list(seq)
+    for start in range(0, iterations, _RANDOM_BATCH):
+        draws = []
+        for _ in range(min(_RANDOM_BATCH, iterations - start)):
+            rng.shuffle(seq)
+            draws.append(seq[:])
+        rows = np.array(draws)
+        totals = np.zeros(len(rows))
+        for t in range(n - 2):
+            totals += flat[(rows[:, t] * n + rows[:, t + 1]) * n + rows[:, t + 2]]
+        top = int(totals.argmax())
+        if totals[top] > best:
+            best = totals[top]
+            best_order = draws[top]
     return _finish(pattern, cfg, best_order, iterations, started)
 
 
@@ -191,12 +210,43 @@ def simulated_annealing(
     Each step proposes swapping two uniformly chosen positions, accepts
     improvements outright and regressions with probability exp(delta/T), then
     cools T by the schedule factor. The best state ever visited is returned.
-    Candidate scores are recomputed in full from the triple-score tensor, so
-    they cannot drift. That is N-2 lookups per step where an incremental
-    delta needs at most 6 (a swap touches at most six triples): the same at
-    desk scale (N=8), about ten times more at N=64.
     If `history` is given, the current score is appended after every accepted
     move (diagnostics only).
+
+    Every draw and decision is that of this rule on exact scores, where delta
+    is _seq_score of the candidate minus _seq_score of the current order. A
+    step reads only the triples that the swap of positions lo < hi touches,
+    k in [lo-2, lo] and [hi-2, hi] (at most 6), and takes the fast delta
+    d = sum(new) - sum(old) over them. A bound beta on |delta - d| settles
+    most steps without the exact sums:
+
+    - d > beta: delta > 0, accept without a draw.
+    - d < -beta and T == 0 (underflowed): reject without a draw.
+    - d < -beta and T > 0: draw u; accept if u < exp((d - beta)/T) and reject
+      if u >= exp((d + beta)/T), which holds for any non-decreasing exp.
+    - Otherwise, and for u inside that band: recompute the exact sums and
+      apply the rule to them.
+
+    The current score is carried as current + d, within `err` of its exact
+    sum. The exact sum is recomputed when a decision needs it, when the
+    carried score plus err could exceed the best, and after every accepted
+    move when `history` is given, so the best score and history stay exact.
+
+    Why beta suffices. Let eps = 2**-53, gamma_k = k*eps/(1 - k*eps) and
+    K = max(N, 8). Tensor entries are >= 0, and a recursive sum of m >= 0
+    terms is within gamma_(m-1) times its value (Higham, Accuracy and Stability
+    of Numerical Algorithms, section 4.2). Write C and C' for the exact
+    current and candidate sums, and S_old and S_new for the exact touched
+    sums. Counting one more rounding for each subtraction,
+    |delta - d| <= gamma_K * (C + C' + S_old + S_new) <= 2 * gamma_K * (C + S_new + S_old),
+    because C' = C + S_new - S_old. C is at most (current + err)/(1 - gamma_K),
+    and each S at most its computed sum s/(1 - gamma_K), so for K*eps <= 0.01
+    |delta - d| < 2.1 * K * eps * (current + err + s_new + s_old).
+    beta is _SA_SLACK = 4 times K * eps times that sum. The headroom covers the
+    rounding of beta and of d -/+ beta, and eps * |current + d|, the rounding of
+    the carried score, so err may grow by beta on each carried accept. If
+    beta underflows to 0, every sum involved is below 2**-1022, where float
+    addition is exact and d == delta.
     """
     if schedule is None:
         schedule = AnnealSchedule()
@@ -213,16 +263,61 @@ def simulated_annealing(
     if temp is None:
         temp = max(SA_DEFAULT_T0_FRACTION * current, 1e-12)
 
+    # The triples a change at position p touches: k in [p-2, p], clamped.
+    window = [range(max(p - 2, 0), min(p, n - 3) + 1) for p in range(n)]
+    tri = [view[seq[k], seq[k + 1], seq[k + 2]] for k in range(n - 2)]
+    unit = _SA_SLACK * max(n, 8) * 2.0**-53
+    err = 0.0
     for _ in range(schedule.iterations):
         i = rng.randrange(n)
         j = rng.randrange(n)
         while j == i:
             j = rng.randrange(n)
         seq[i], seq[j] = seq[j], seq[i]
-        candidate = _seq_score(view, seq)
-        delta = candidate - current
-        if delta >= 0 or (temp > 0 and rng.random() < math.exp(delta / temp)):
-            current = candidate
+        lo, hi = (i, j) if i < j else (j, i)
+        if hi - lo > 3:
+            touched = (*window[lo], *window[hi])
+        else:  # the two windows overlap or abut
+            touched = range(window[lo].start, window[hi].stop)
+        new_sum = old_sum = 0.0
+        for k in touched:
+            new_sum += view[seq[k], seq[k + 1], seq[k + 2]]
+            old_sum += tri[k]
+        d = new_sum - old_sum
+        beta = unit * (current + err + new_sum + old_sum)
+        u = candidate = None
+        if d > beta:
+            accept = True
+        elif d < -beta:
+            accept = False
+            if temp > 0:
+                u = rng.random()
+                if u < math.exp((d - beta) / temp):
+                    accept = True
+                elif u < math.exp((d + beta) / temp):
+                    accept = None
+        else:
+            accept = None
+        if accept is None:
+            if err:
+                seq[i], seq[j] = seq[j], seq[i]
+                current, err = _seq_score(view, seq), 0.0
+                seq[i], seq[j] = seq[j], seq[i]
+            candidate = _seq_score(view, seq)
+            delta = candidate - current
+            accept = delta >= 0 or (
+                temp > 0 and (rng.random() if u is None else u) < math.exp(delta / temp)
+            )
+        if accept:
+            for k in touched:
+                tri[k] = view[seq[k], seq[k + 1], seq[k + 2]]
+            if candidate is None:
+                current += d
+                err += beta
+                if history is not None or current + err > best:
+                    current, err = _seq_score(view, seq), 0.0
+            else:
+                current, err = candidate, 0.0
             if history is not None:
                 history.append(current)
             if current > best:

@@ -562,7 +562,52 @@ class TestTrain:
         assert info.value.epoch == 0
 
 
+def _reference_extract_permutation(p):
+    # The decode the argsort replaced: sort all N^2 (-p, row, column) tuples.
+    n = p.shape[0]
+    ranked = sorted((-p[i, j], i, j) for i in range(n) for j in range(n))
+    mapping = [-1] * n
+    row_free = [True] * n
+    col_free = [True] * n
+    for _, i, j in ranked:
+        if row_free[i] and col_free[j]:
+            mapping[i] = j
+            row_free[i] = False
+            col_free[j] = False
+    return tuple(mapping)
+
+
+@st.composite
+def decode_matrices(draw):
+    n = draw(st.integers(1, 12))
+    # A few distinct values, both zeros and infinities make ties, signed-zero
+    # ties and uniform rows common.
+    values = draw(st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, np.inf, -np.inf]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1, max_size=4,
+    ))
+    picks = draw(st.lists(st.integers(0, len(values) - 1), min_size=n * n, max_size=n * n))
+    p = np.array([values[k] for k in picks], dtype=np.float64).reshape(n, n)
+    if draw(st.booleans()):
+        p[draw(st.integers(0, n - 1))] = values[0]
+    return p
+
+
 class TestExtractPermutation:
+    @given(decode_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_decode(self, p):
+        assert extract_permutation(p).order == _reference_extract_permutation(p)
+
+    def test_memory_is_bounded_at_n1024(self, peak_bytes):
+        # The reference would build 2^20 Python tuples. The argsort holds an
+        # 8 MiB negated copy and an 8 MiB index array beside the 8 MiB input.
+        p = np.random.default_rng(4).random((1024, 1024))
+        assert peak_bytes(extract_permutation, p) < 32 * 2**20
+
     def test_identity_matrix(self):
         assert extract_permutation(np.eye(5)).order == (0, 1, 2, 3, 4)
 

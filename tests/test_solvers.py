@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -80,6 +81,63 @@ def _reference_exhaustive(tensor_list, n):
             best = score
             best_order = list(order)
     return best_order, best, count
+
+
+def _reference_random_search(pattern, cfg, iterations, seed):
+    # The sequential loop the batched scoring replaced: a hand-written
+    # Fisher-Yates shuffle and one strict-> comparison per draw.
+    n = pattern.num_wordlines
+    view = memoryview(build_score_tensor(pattern, cfg))
+    rng = random.Random(seed)
+    best_order = None
+    best = -math.inf
+    seq = list(range(n))
+    for _ in range(iterations):
+        for k in range(n - 1, 0, -1):
+            j = rng.randrange(k + 1)
+            seq[k], seq[j] = seq[j], seq[k]
+        score = solvers._seq_score(view, seq)
+        if score > best:
+            best = score
+            best_order = list(seq)
+    perm = Permutation(tuple(best_order))
+    return perm.order, block_score(apply_permutation(pattern, perm), cfg), iterations
+
+
+def _reference_simulated_annealing(pattern, cfg, schedule, history=None):
+    # The loop the touched-triple deltas replaced: every candidate is rescored
+    # in full, N-2 lookups per step.
+    n = pattern.num_wordlines
+    tensor = build_score_tensor(pattern, cfg)
+    rng = random.Random(schedule.seed)
+    seq, current, greedy_count = solvers._greedy_best(tensor)
+    view = memoryview(tensor)
+    best = current
+    best_order = list(seq)
+    temp = schedule.initial_temperature
+    if temp is None:
+        temp = max(solvers.SA_DEFAULT_T0_FRACTION * current, 1e-12)
+    for _ in range(schedule.iterations):
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        while j == i:
+            j = rng.randrange(n)
+        seq[i], seq[j] = seq[j], seq[i]
+        candidate = solvers._seq_score(view, seq)
+        delta = candidate - current
+        if delta >= 0 or (temp > 0 and rng.random() < math.exp(delta / temp)):
+            current = candidate
+            if history is not None:
+                history.append(current)
+            if current > best:
+                best = current
+                best_order = list(seq)
+        else:
+            seq[i], seq[j] = seq[j], seq[i]
+        temp *= schedule.cooling_factor
+    perm = Permutation(tuple(best_order))
+    score = block_score(apply_permutation(pattern, perm), cfg)
+    return perm.order, score, greedy_count + 1 + schedule.iterations
 
 
 BLOCK_KINDS = ("random", "identical_rows", "all_erased", "two_level")
@@ -206,6 +264,33 @@ class TestRandomSearch:
         with pytest.raises(InvalidArgument):
             random_search(gen_random_block(cfg, seed=0), cfg, iterations=0, seed=0)
 
+    @given(
+        kind=st.sampled_from(BLOCK_KINDS),
+        n=st.integers(3, 12),
+        c=st.integers(1, 12),
+        iterations=st.sampled_from([1, 4095, 4096, 4097, 8193]),
+        block_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_loop(self, kind, n, c, iterations, block_seed, seed):
+        # The batch size is 4,096: these counts cover one short batch, one
+        # exactly full batch and a partial last batch.
+        cfg = ArchConfig(num_wordlines=n, cells_per_page=c)
+        pattern = make_block(kind, n, c, block_seed)
+        order, score, count = _reference_random_search(pattern, cfg, iterations, seed)
+        result = random_search(pattern, cfg, iterations=iterations, seed=seed)
+        assert result.perm.order == order
+        assert result.score.hex() == score.hex()
+        assert result.evaluations == count
+
+    def test_memory_is_bounded_at_n64(self, peak_bytes):
+        # The 2 MiB tensor, one 4,096 x 64 index batch (2 MiB) and its draws
+        # as Python lists.
+        cfg = ArchConfig(num_wordlines=64, cells_per_page=64)
+        pattern = gen_random_block(cfg, seed=5)
+        assert peak_bytes(random_search, pattern, cfg, 5000, 1) < 16 * 2**20
+
 
 class TestGreedy:
     def test_identical_rows_give_identity(self):
@@ -302,6 +387,57 @@ class TestSimulatedAnnealing:
         result = simulated_annealing(pattern, cfg, AnnealSchedule(iterations=300, seed=5))
         assert result.score == block_score(apply_permutation(pattern, result.perm), cfg)
 
+    @given(
+        kind=st.sampled_from(BLOCK_KINDS),
+        n=st.integers(3, 64),
+        c=st.integers(1, 24),
+        t0=st.one_of(
+            st.sampled_from([None, 1e-300, 1e300]),
+            st.floats(min_value=1e-6, max_value=1e9),
+        ),
+        cooling=st.one_of(
+            st.sampled_from([5e-324, 1e-300, 1e-3, 0.5, 0.999, 1 - 2**-53]),
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        ),
+        iterations=st.integers(1, 3000),
+        block_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_loop(self, kind, n, c, t0, cooling, iterations, block_seed, seed):
+        cfg = ArchConfig(num_wordlines=n, cells_per_page=c)
+        pattern = make_block(kind, n, c, block_seed)
+        schedule = AnnealSchedule(
+            initial_temperature=t0, cooling_factor=cooling, iterations=iterations, seed=seed
+        )
+        ref_history, history = [], []
+        order, score, count = _reference_simulated_annealing(pattern, cfg, schedule, ref_history)
+        result = simulated_annealing(pattern, cfg, schedule, history=history)
+        assert result.perm.order == order
+        assert result.score.hex() == score.hex()
+        assert result.evaluations == count
+        assert [h.hex() for h in history] == [h.hex() for h in ref_history]
+        # Without a history the exact sums are recomputed less often.
+        assert simulated_annealing(pattern, cfg, schedule).perm.order == order
+
+    def test_exact_path_is_rare_and_alone_gives_the_same_results(self, monkeypatch):
+        cfg = ArchConfig(num_wordlines=64, cells_per_page=64)
+        pattern = gen_random_block(cfg, seed=9)
+        schedule = AnnealSchedule(seed=7)
+        calls = []
+        exact_sum = solvers._seq_score
+        monkeypatch.setattr(solvers, "_seq_score", lambda *args: calls.append(1) or exact_sum(*args))
+        fast = simulated_annealing(pattern, cfg, schedule)
+        # The touched-triple deltas settle almost every step by themselves.
+        assert len(calls) < schedule.iterations // 100
+        # A huge slack sends every step to the exact sums.
+        monkeypatch.setattr(solvers, "_SA_SLACK", 1e300)
+        calls.clear()
+        slow = simulated_annealing(pattern, cfg, schedule)
+        assert len(calls) >= schedule.iterations
+        assert (slow.perm.order, slow.score.hex(), slow.evaluations) == (
+            fast.perm.order, fast.score.hex(), fast.evaluations)
+
 
 @pytest.mark.parametrize("n", [3, 8, 64])
 def test_tensor_view_lookup_is_bit_exact(n):
@@ -314,20 +450,38 @@ def test_tensor_view_lookup_is_bit_exact(n):
         assert solvers._seq_score(view, seq).hex() == _reference_seq_score(nested, seq).hex()
 
 
-# (perm, score, evaluations) recorded from the nested-list implementation, so
-# the memoryview lookups and the array greedy start keep every RNG decision.
+# (perm, score, evaluations) recorded from the sequential implementations, so
+# the array greedy start, the batched random search and the annealing step's
+# fast deltas keep every RNG decision.
 PINNED_RANDOM_SEARCH = [
     (8, 16, 5, 300, 11, (0, 6, 3, 4, 2, 1, 5, 7), 48188.399999999994, 300),
     (24, 32, 9, 500, 2,
      (4, 22, 5, 21, 13, 9, 20, 23, 15, 14, 0, 6, 16, 11, 17, 19, 18, 12, 8, 2, 10, 1, 7, 3),
      313081.0, 500),
+    (64, 64, 12, 5000, 3,
+     (7, 4, 5, 30, 2, 22, 34, 12, 50, 10, 51, 24, 25, 54, 17, 6, 37, 49, 60, 38, 59, 21, 44, 11, 43,
+      15, 63, 56, 28, 61, 35, 29, 58, 39, 47, 46, 1, 33, 14, 45, 3, 0, 19, 18, 48, 42, 13, 36, 40, 26,
+      16, 53, 9, 27, 52, 57, 55, 8, 32, 23, 62, 20, 31, 41),
+     1721144.8, 5000),
 ]
 PINNED_ANNEALING = [
     (8, 16, 5, 2000, 4, (0, 5, 7, 1, 2, 4, 6, 3), 49512.6, 2057),
     (24, 32, 9, 3000, 7,
      (5, 2, 10, 12, 11, 21, 18, 22, 4, 8, 7, 1, 3, 9, 14, 23, 15, 13, 19, 17, 16, 6, 0, 20),
      333915.4, 3553),
+    (64, 64, 11, 10000, 3,
+     (1, 32, 15, 40, 58, 20, 24, 59, 27, 44, 13, 4, 46, 17, 25, 36, 57, 35, 62, 7, 28, 52, 53, 34, 19,
+      11, 61, 5, 10, 50, 26, 60, 37, 31, 38, 56, 14, 47, 18, 23, 55, 3, 2, 41, 0, 63, 54, 30, 8, 12,
+      29, 16, 22, 51, 9, 48, 33, 42, 21, 6, 39, 45, 43, 49),
+     1841010.2, 14033),
+    (16, 32, 7, 2000, 8, (10, 5, 13, 6, 11, 4, 12, 1, 2, 0, 3, 14, 7, 15, 9, 8), 215685.8, 2241),
 ]
+# Schedules other than the default, keyed by (n, c, block_seed, iterations, seed).
+# Halving from T0=1e5, the temperature underflows to 0.0 after about 1,090 of
+# the 2,000 steps.
+PINNED_ANNEALING_SCHEDULES = {
+    (16, 32, 7, 2000, 8): {"initial_temperature": 1e5, "cooling_factor": 0.5},
+}
 
 
 @pytest.mark.parametrize("n,c,block_seed,iterations,seed,perm,score,evaluations", PINNED_RANDOM_SEARCH)
@@ -340,7 +494,8 @@ def test_random_search_is_pinned(n, c, block_seed, iterations, seed, perm, score
 @pytest.mark.parametrize("n,c,block_seed,iterations,seed,perm,score,evaluations", PINNED_ANNEALING)
 def test_simulated_annealing_is_pinned(n, c, block_seed, iterations, seed, perm, score, evaluations):
     cfg = ArchConfig(num_wordlines=n, cells_per_page=c)
-    schedule = AnnealSchedule(iterations=iterations, seed=seed)
+    extra = PINNED_ANNEALING_SCHEDULES.get((n, c, block_seed, iterations, seed), {})
+    schedule = AnnealSchedule(iterations=iterations, seed=seed, **extra)
     result = simulated_annealing(gen_random_block(cfg, seed=block_seed), cfg, schedule)
     assert (result.perm.order, result.score, result.evaluations) == (perm, score, evaluations)
 
