@@ -14,6 +14,7 @@ import json
 import sys
 import time
 import typing
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -47,17 +48,22 @@ class _DataError(Exception):
     """Wraps any failure while reading or writing artifact files."""
 
 
-def _fail_data(exc: Exception, context: str) -> "_DataError":
-    return _DataError(f"{context}: {type(exc).__name__}: {exc}")
+@contextmanager
+def _reading(what: str):
+    """Turn a failure to read ``what`` into a _DataError (exit 2).
+
+    ValueError covers text that is not UTF-8 and malformed JSON."""
+    try:
+        yield
+    except (ArrangeError, OSError, ValueError) as exc:
+        raise _DataError(f"cannot read {what}: {type(exc).__name__}: {exc}") from exc
 
 
 def _load_pattern(path: str) -> BlockPattern:
-    try:
+    with _reading(f"pattern {path}"):
         pattern = data_io.load_pattern(path)
         # A well-formed file may still hold a block no ArchConfig admits (N<3, C=0).
         ArchConfig(num_wordlines=pattern.num_wordlines, cells_per_page=pattern.cells_per_page)
-    except (ArrangeError, OSError) as exc:
-        raise _fail_data(exc, f"cannot read pattern {path}") from exc
     return pattern
 
 
@@ -116,12 +122,8 @@ def parse_run_config(document: dict) -> dict:
 def _read_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        document = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise _fail_data(exc, f"cannot read config {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise _fail_data(exc, f"config {path} is not valid JSON") from exc
+    with _reading(f"config {path}"):
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
     return parse_run_config(document)
 
 
@@ -155,10 +157,8 @@ def _section(document: dict, name: str, cls, **fixed):
 # Subcommands.
 
 def cmd_gen(args) -> int:
-    if args.wordlines < 3:
-        raise InvalidArgument(f"--wordlines must be >= 3, got {args.wordlines}")
-    if args.cells < 1 or args.blocks < 1:
-        raise InvalidArgument("--cells and --blocks must be positive")
+    if args.blocks < 1:
+        raise InvalidArgument(f"--blocks must be positive, got {args.blocks}")
     cfg = ArchConfig(num_wordlines=args.wordlines, cells_per_page=args.cells)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -239,10 +239,8 @@ SOLVERS = {
 def _load_model(path: str | None):
     if path is None:
         return None
-    try:
+    with _reading(f"model {path}"):
         return neural.load_checkpoint(path)
-    except (ArrangeError, OSError) as exc:
-        raise _fail_data(exc, f"cannot read model {path}") from exc
 
 
 def cmd_arrange(args) -> int:
@@ -309,10 +307,8 @@ def cmd_simulate(args) -> int:
     pattern = _load_pattern(args.infile)
     cfg = _arch_for([pattern])
     if args.map:
-        try:
+        with _reading(f"mapping {args.map}"):
             table = data_io.load_mapping_table(args.map)
-        except (ArrangeError, OSError) as exc:
-            raise _fail_data(exc, f"cannot read mapping {args.map}") from exc
         pattern = apply_permutation(pattern, table.as_permutation())
     rcfg = _section(_read_config_file(args.retention_config), "retention", RetentionConfig)
     if args.seed is not None:

@@ -8,8 +8,8 @@ source page stored at physical wordline position i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -30,6 +30,8 @@ class ArchConfig:
 
     k1 weighs the upside neighbor (wordline n+1), k2 the underside neighbor
     (wordline n-1); alpha rescales all scores without changing their order.
+    The coefficients must keep every score the geometry admits a finite
+    float (InvalidArgument otherwise).
     """
 
     num_wordlines: int = 16
@@ -45,13 +47,29 @@ class ArchConfig:
             )
         if self.cells_per_page < 1:
             raise InvalidArgument(f"cells_per_page must be positive, got {self.cells_per_page}")
-        if not (self.k1 > 0 and self.k2 > 0 and self.alpha > 0):
-            raise InvalidArgument("k1, k2 and alpha must all be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.k1, self.k2, self.alpha)):
+            raise InvalidArgument("k1, k2 and alpha must all be positive and finite")
+        # Bound the divisor alpha (k1 + k2), a page triple's numerator
+        # k2 M + k1 M' (M <= 1280 C, 5 * 16 * 16 per cell) and the block score
+        # over N - 2 triples; the factors 2 cover the rounding of the sums.
+        scale = self.alpha * (self.k1 + self.k2)
+        numerator = 2 * max(self.k1, self.k2) * 1280 * self.cells_per_page
+        if not (
+            0 < scale < math.inf
+            and math.isfinite(numerator / scale * 2 * (self.num_wordlines - 2))
+        ):
+            raise InvalidArgument(
+                f"k1={self.k1}, k2={self.k2}, alpha={self.alpha} put the scores of a "
+                f"{self.num_wordlines}x{self.cells_per_page} block outside the float range"
+            )
 
 
 @dataclass(frozen=True, eq=False)
 class BlockPattern:
-    """Immutable N x C matrix of program levels, wordline-major."""
+    """Immutable N x C matrix of program levels 0..15, wordline-major.
+
+    The levels are checked here, once: any other value raises LevelOutOfRange
+    naming the first offending cell in row-major order."""
 
     cells: np.ndarray
 
@@ -61,6 +79,11 @@ class BlockPattern:
             raise DimensionMismatch(f"cells must be a 2-D matrix, got ndim={arr.ndim}")
         if not np.issubdtype(arr.dtype, np.integer):
             raise LevelOutOfRange(f"cells must hold integers, got dtype {arr.dtype}")
+        if arr.size and (arr.min() < 0 or arr.max() > LEVELS - 1):
+            row, col = np.argwhere((arr < 0) | (arr > LEVELS - 1))[0]
+            raise LevelOutOfRange(
+                f"cell ({row}, {col}) holds {int(arr[row, col])}, allowed range is 0..{LEVELS - 1}"
+            )
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "cells", arr)
@@ -91,10 +114,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(n)))
 
-    @classmethod
-    def of(cls, values: Iterable[int]) -> "Permutation":
-        return cls(tuple(values))
-
     def __len__(self) -> int:
         return len(self.order)
 
@@ -119,26 +138,15 @@ def _bijection_fault(order: tuple[int, ...]) -> str:
 
 
 def validate_pattern(pattern: BlockPattern, cfg: ArchConfig) -> None:
-    """Raise unless ``pattern`` satisfies every block invariant under ``cfg``."""
+    """Raise DimensionMismatch unless ``pattern`` has the shape ``cfg`` names.
+
+    Its levels need no check: BlockPattern admits only levels 0..15.
+    """
     cells = pattern.cells
     if cells.shape != (cfg.num_wordlines, cfg.cells_per_page):
         raise DimensionMismatch(
             f"pattern is {cells.shape[0]}x{cells.shape[1]}, "
             f"config wants {cfg.num_wordlines}x{cfg.cells_per_page}"
-        )
-    validate_levels(pattern)
-
-
-def validate_levels(pattern: BlockPattern) -> None:
-    """Raise LevelOutOfRange unless every cell holds a program level 0..15.
-
-    Reports the first offending cell in row-major order.
-    """
-    cells = pattern.cells
-    if cells.size and (cells.min() < 0 or cells.max() > LEVELS - 1):
-        row, col = np.argwhere((cells < 0) | (cells > LEVELS - 1))[0]
-        raise LevelOutOfRange(
-            f"cell ({row}, {col}) holds {int(cells[row, col])}, allowed range is 0..{LEVELS - 1}"
         )
 
 

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import LEVELS, ArchConfig, BlockPattern, Permutation, validate_levels
+from .core import LEVELS, ArchConfig, BlockPattern, Permutation
 from .errors import (
     BadMagic,
     InvalidArgument,
@@ -138,16 +138,13 @@ def read_mapping_table(data: bytes) -> MappingTable:
 
 
 def write_pattern(pattern: BlockPattern) -> bytes:
-    validate_levels(pattern)
     header = pack_header(PATTERN_MAGIC, "II", pattern.num_wordlines, pattern.cells_per_page)
     return header + pattern.cells.astype(np.uint8).tobytes(order="C")
 
 
 def read_pattern(data: bytes) -> BlockPattern:
     (n, c), payload = unpack_header(data, PATTERN_MAGIC, "II", lambda n, c: n * c)
-    pattern = BlockPattern(np.frombuffer(payload, dtype=np.uint8).reshape(n, c))
-    validate_levels(pattern)
-    return pattern
+    return BlockPattern(np.frombuffer(payload, dtype=np.uint8).reshape(n, c))
 
 
 def save_pattern(path: str | Path, pattern: BlockPattern) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LEVELS, ArchConfig, BlockPattern, validate_levels
+from .core import LEVELS, ArchConfig, BlockPattern
 from .errors import DimensionMismatch, InvalidArgument
 from .data_io import GRAY_TABLE
 from .scoring import score_table, triple_index
@@ -152,16 +152,15 @@ def read_back(voltages: np.ndarray) -> BlockPattern:
 
 
 def measure_ber(original: BlockPattern, readback: BlockPattern) -> float:
-    """Fraction of differing Gray-coded bits between two patterns.
+    """Fraction of differing Gray-coded bits between two patterns of one shape.
 
-    Both patterns must hold levels 0..15 (LevelOutOfRange otherwise).
+    Both hold levels 0..15, as every BlockPattern does, so each cell pair
+    indexes the 256-entry bit-flip table directly.
     """
     if original.cells.shape != readback.cells.shape:
         raise DimensionMismatch(
             f"patterns differ in shape: {original.cells.shape} vs {readback.cells.shape}"
         )
-    validate_levels(original)
-    validate_levels(readback)
     index = original.cells.astype(np.uint8, copy=False) << 4
     index |= readback.cells.astype(np.uint8, copy=False)
     flipped = int(_BIT_FLIPS[index].sum())

@@ -65,7 +65,8 @@ def cell_score(under: int, mid: int, up: int, cfg: ArchConfig) -> float:
 
 @lru_cache(maxsize=8)
 def _cell_lut(k1: float, k2: float, alpha: float) -> np.ndarray:
-    cfg = ArchConfig(k1=k1, k2=k2, alpha=alpha)
+    # The smallest geometry, which admits every coefficient set some block does.
+    cfg = ArchConfig(num_wordlines=3, cells_per_page=1, k1=k1, k2=k2, alpha=alpha)
     triples = itertools.product(range(LEVELS), repeat=3)
     lut = np.array([cell_score(*t, cfg) for t in triples]).reshape(LEVELS, LEVELS, LEVELS)
     lut.flags.writeable = False
@@ -89,11 +90,7 @@ def page_triple_score(
             f"page vectors must share one length, got {under_page.shape}, "
             f"{mid_page.shape}, {up_page.shape}"
         )
-    for name, page in (("under", under_page), ("mid", mid_page), ("up", up_page)):
-        if not np.issubdtype(page.dtype, np.integer):
-            raise LevelOutOfRange(f"{name} page must hold integer levels, got {page.dtype}")
-        if page.size and (page.min() < 0 or page.max() >= LEVELS):
-            raise LevelOutOfRange(f"{name} page holds a level outside 0..{LEVELS - 1}")
+    BlockPattern(np.stack((under_page, mid_page, up_page)))  # LevelOutOfRange unless 0..15
     return float(score_table(cfg)[under_page, mid_page, up_page].sum())
 
 

@@ -203,15 +203,12 @@ def simulated_annealing(
     pattern: BlockPattern,
     cfg: ArchConfig,
     schedule: AnnealSchedule | None = None,
-    history: list[float] | None = None,
 ) -> SolverResult:
     """Swap-neighborhood Metropolis search seeded from the greedy arrangement.
 
     Each step proposes swapping two uniformly chosen positions, accepts
     improvements outright and regressions with probability exp(delta/T), then
     cools T by the schedule factor. The best state ever visited is returned.
-    If `history` is given, the current score is appended after every accepted
-    move (diagnostics only).
 
     Every draw and decision is that of this rule on exact scores, where delta
     is _seq_score of the candidate minus _seq_score of the current order. A
@@ -228,9 +225,9 @@ def simulated_annealing(
       apply the rule to them.
 
     The current score is carried as current + d, within `err` of its exact
-    sum. The exact sum is recomputed when a decision needs it, when the
-    carried score plus err could exceed the best, and after every accepted
-    move when `history` is given, so the best score and history stay exact.
+    sum. The exact sum is recomputed when a decision needs it and when the
+    carried score plus err could exceed the best, so the best score stays
+    exact.
 
     Why beta suffices. Let eps = 2**-53, gamma_k = k*eps/(1 - k*eps) and
     K = max(N, 8). Tensor entries are >= 0, and a recursive sum of m >= 0
@@ -314,12 +311,10 @@ def simulated_annealing(
             if candidate is None:
                 current += d
                 err += beta
-                if history is not None or current + err > best:
+                if current + err > best:
                     current, err = _seq_score(view, seq), 0.0
             else:
                 current, err = candidate, 0.0
-            if history is not None:
-                history.append(current)
             if current > best:
                 best = current
                 best_order = list(seq)

@@ -264,6 +264,7 @@ class TestConfigErrors:
             ("simulate", {"retention": {"coupling": 1e200, "time": 1e200}}),
             ("simulate", {"retention": {"coupling": 10**400}}),
             ("train", {"train": {"learning_rate": 10**400}}),
+            ("train", {"arch": {"alpha": 1e-305}}),
         ],
     )
     def test_bad_value_exits_1_with_typed_error(self, tmp_path, capsys, command, document):
@@ -279,6 +280,23 @@ class TestConfigErrors:
         code, _, err = run(argv, capsys)
         assert code == 1
         assert "InvalidArgument" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "simulate"])
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"train": {}'])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, command, content):
+        data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=8)
+        config = tmp_path / "run.json"
+        config.write_bytes(content)  # not UTF-8, or not JSON
+        if command == "train":
+            argv = ["train", "--data-dir", str(data), "--config", str(config),
+                    "--out-model", str(tmp_path / "m.pdaw")]
+        else:
+            argv = ["simulate", "--in", str(next(data.glob("*.pdap"))),
+                    "--retention-config", str(config)]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert f"cannot read config {config}" in err
         assert "Traceback" not in err
 
     def test_matching_arch_int_for_float_and_null_are_accepted(self, tmp_path, capsys):

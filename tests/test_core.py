@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nandarrange import (
     ArchConfig,
@@ -42,6 +43,32 @@ class TestArchConfig:
         with pytest.raises(InvalidArgument):
             ArchConfig(**base)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(k1=float("inf")),
+            dict(k2=float("nan")),
+            dict(alpha=float("inf")),
+            # alpha (k1 + k2) underflows to 0, or overflows to inf.
+            dict(alpha=5e-324, k1=1e-3, k2=1e-3),
+            dict(alpha=1e308),
+            # The k-weighted numerator overflows.
+            dict(k1=1e305),
+            # The largest block score overflows: greedy and annealing used to
+            # raise NotABijection here, from inf + (-inf) = nan.
+            dict(num_wordlines=5, cells_per_page=8, alpha=1e-305),
+        ],
+    )
+    def test_rejects_coefficients_whose_scores_overflow(self, kwargs):
+        with pytest.raises(InvalidArgument):
+            ArchConfig(**{**dict(num_wordlines=4, cells_per_page=8), **kwargs})
+
+    def test_small_geometry_admits_larger_scores(self):
+        # alpha=1e-303 overflows a default 16x64 block but not a 3x1 one.
+        with pytest.raises(InvalidArgument):
+            ArchConfig(alpha=1e-303)
+        ArchConfig(num_wordlines=3, cells_per_page=1, alpha=1e-303)
+
 
 class TestValidatePattern:
     def test_all_erased_block_is_valid(self):
@@ -64,6 +91,27 @@ class TestValidatePattern:
         cfg = ArchConfig(num_wordlines=3, cells_per_page=1)
         with pytest.raises(LevelOutOfRange):
             validate_pattern(pattern_of([[0], [-1], [0]]), cfg)
+
+
+@st.composite
+def level_arrays(draw):
+    dtype = np.dtype(draw(st.sampled_from(["int8", "uint8", "int16", "uint16", "int64"])))
+    info = np.iinfo(dtype)
+    values = st.integers(max(-300, int(info.min)), min(300, int(info.max)))
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6))
+    return draw(hnp.arrays(dtype, shape, elements=values))
+
+
+@given(level_arrays())
+def test_block_pattern_holds_only_levels(cells):
+    bad = [(r, c) for r in range(cells.shape[0]) for c in range(cells.shape[1])
+           if not 0 <= int(cells[r, c]) <= 15]
+    if not bad:
+        assert np.array_equal(BlockPattern(cells).cells, cells)
+        return
+    row, col = bad[0]  # the first in row-major order
+    with pytest.raises(LevelOutOfRange, match=rf"^cell \({row}, {col}\) holds {cells[row, col]},"):
+        BlockPattern(cells)
 
 
 class TestPermutation:

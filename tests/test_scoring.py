@@ -153,6 +153,16 @@ class TestPageTripleScore:
         with pytest.raises(LengthMismatch):
             page_triple_score(np.zeros(3, dtype=int), np.zeros(4, dtype=int), np.zeros(3, dtype=int), CFG)
 
+    def test_rejects_level_16_naming_page_and_cell(self):
+        up = np.array([0, 0, 16])
+        with pytest.raises(LevelOutOfRange, match=r"cell \(2, 2\) holds 16"):
+            page_triple_score(np.zeros(3, dtype=int), np.zeros(3, dtype=int), up, CFG)
+
+    def test_rejects_float_pages(self):
+        zeros = np.zeros(3, dtype=int)
+        with pytest.raises(LevelOutOfRange, match="integers"):
+            page_triple_score(zeros, np.zeros(3), zeros, CFG)
+
 
 class TestBlockScore:
     def test_interior_triples_only(self):

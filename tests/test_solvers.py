@@ -364,14 +364,13 @@ class TestSimulatedAnnealing:
     def test_zero_temperature_hill_climbs(self):
         cfg = ArchConfig(num_wordlines=6, cells_per_page=8)
         pattern = gen_random_block(cfg, seed=13)
+        schedule = AnnealSchedule(initial_temperature=1e-12, iterations=2000, seed=3)
         history = []
-        simulated_annealing(
-            pattern,
-            cfg,
-            AnnealSchedule(initial_temperature=1e-12, iterations=2000, seed=3),
-            history=history,
-        )
+        order, score, count = _reference_simulated_annealing(pattern, cfg, schedule, history)
         assert all(b >= a for a, b in zip(history, history[1:]))
+        result = simulated_annealing(pattern, cfg, schedule)
+        assert (result.perm.order, result.score.hex(), result.evaluations) == (
+            order, score.hex(), count)
 
     def test_deterministic(self):
         cfg = ArchConfig(num_wordlines=6, cells_per_page=8)
@@ -410,15 +409,11 @@ class TestSimulatedAnnealing:
         schedule = AnnealSchedule(
             initial_temperature=t0, cooling_factor=cooling, iterations=iterations, seed=seed
         )
-        ref_history, history = [], []
-        order, score, count = _reference_simulated_annealing(pattern, cfg, schedule, ref_history)
-        result = simulated_annealing(pattern, cfg, schedule, history=history)
+        order, score, count = _reference_simulated_annealing(pattern, cfg, schedule)
+        result = simulated_annealing(pattern, cfg, schedule)
         assert result.perm.order == order
         assert result.score.hex() == score.hex()
         assert result.evaluations == count
-        assert [h.hex() for h in history] == [h.hex() for h in ref_history]
-        # Without a history the exact sums are recomputed less often.
-        assert simulated_annealing(pattern, cfg, schedule).perm.order == order
 
     def test_exact_path_is_rare_and_alone_gives_the_same_results(self, monkeypatch):
         cfg = ArchConfig(num_wordlines=64, cells_per_page=64)
@@ -514,3 +509,33 @@ def test_all_solvers_return_valid_bijections_and_obey_exhaustive_bound():
             assert sorted(result.perm.order) == list(range(6))
         for result in others:
             assert result.score <= best.score + 1e-9 * abs(best.score)
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+
+
+@given(
+    n=st.integers(3, 6),
+    c=st.integers(1, 8),
+    k1=_log_uniform(1e-320, 1e308),
+    k2=_log_uniform(1e-320, 1e308),
+    alpha=_log_uniform(1e-320, 1e308),
+    block_seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_admitted_coefficients_give_finite_scores_and_bijections(n, c, k1, k2, alpha, block_seed):
+    try:
+        cfg = ArchConfig(num_wordlines=n, cells_per_page=c, k1=k1, k2=k2, alpha=alpha)
+    except InvalidArgument:
+        return
+    pattern = make_block("random", n, c, block_seed)
+    assert np.isfinite(build_score_tensor(pattern, cfg)).all()
+    assert math.isfinite(block_score(pattern, cfg))
+    for result in (
+        greedy_arrange(pattern, cfg),
+        simulated_annealing(pattern, cfg, AnnealSchedule(iterations=200, seed=block_seed)),
+    ):
+        assert sorted(result.perm.order) == list(range(n))
+        assert math.isfinite(result.score)
+
