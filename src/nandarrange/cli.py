@@ -12,23 +12,16 @@ import argparse
 import csv
 import json
 import sys
-import time
 import typing
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data_io, neural, scoring, solvers
 from .core import ArchConfig, BlockPattern, apply_permutation
-from .errors import (
-    ArrangeError,
-    CodecError,
-    InvalidArgument,
-    NonFiniteGradient,
-    NonFiniteLoss,
-)
+from .errors import ArrangeError, InvalidArgument, NonFiniteLoss
 from .retention import RetentionConfig, measure_ber, read_back, simulate_retention
 
 EXIT_OK = 0
@@ -45,7 +38,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _DataError(Exception):
-    """Wraps any failure while reading or writing artifact files."""
+    """Wraps any failure while reading an input file (exit 2). Writes are not
+    wrapped: a failed write exits 1 with its OSError."""
 
 
 @contextmanager
@@ -201,37 +195,23 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class _SolverOptions:
-    iterations: int
-    seed: int
-    t0: float | None = None
-    cooling: float = solvers.SA_DEFAULT_COOLING
-    model: tuple | None = None
-
-
-def _anneal(pattern: BlockPattern, cfg: ArchConfig, opts: _SolverOptions):
-    schedule = solvers.AnnealSchedule(opts.t0, opts.cooling, opts.iterations, opts.seed)
-    return solvers.simulated_annealing(pattern, cfg, schedule)
-
-
-def _lstm(pattern: BlockPattern, cfg: ArchConfig, opts: _SolverOptions):
-    if opts.model is None:
+def _lstm(pattern: BlockPattern, cfg: ArchConfig, schedule, model):
+    if model is None:
         raise InvalidArgument("--solver lstm requires --model")
-    started = time.perf_counter()
-    perm = neural.arrange(pattern, *opts.model)
-    score = scoring.block_score(apply_permutation(pattern, perm), cfg)
-    return solvers.SolverResult(perm, score, 0, time.perf_counter() - started)
+    return solvers.lstm_arrange(pattern, cfg, model)
 
 
-# name -> solver(pattern, cfg, opts): the names arrange --solver and compare --solvers accept.
+# name -> solver(pattern, cfg, schedule, model): the names arrange --solver and
+# compare --solvers accept. The flags of every run form one checked AnnealSchedule.
 SOLVERS = {
-    "exhaustive": lambda pattern, cfg, opts: solvers.exhaustive_best(pattern, cfg),
-    "random": lambda pattern, cfg, opts: solvers.random_search(
-        pattern, cfg, opts.iterations, opts.seed
+    "exhaustive": lambda pattern, cfg, schedule, model: solvers.exhaustive_best(pattern, cfg),
+    "random": lambda pattern, cfg, schedule, model: solvers.random_search(
+        pattern, cfg, schedule.iterations, schedule.seed
     ),
-    "greedy": lambda pattern, cfg, opts: solvers.greedy_arrange(pattern, cfg),
-    "sa": _anneal,
+    "greedy": lambda pattern, cfg, schedule, model: solvers.greedy_arrange(pattern, cfg),
+    "sa": lambda pattern, cfg, schedule, model: solvers.simulated_annealing(
+        pattern, cfg, schedule
+    ),
     "lstm": _lstm,
 }
 
@@ -248,9 +228,9 @@ def cmd_arrange(args) -> int:
     pattern = _load_pattern(args.infile)
     cfg = _arch_for([pattern])
     model = _load_model(args.model)
+    schedule = solvers.AnnealSchedule(args.t0, args.cooling, args.iterations, args.seed)
     original = scoring.block_score(pattern, cfg)
-    opts = _SolverOptions(args.iterations, args.seed, args.t0, args.cooling, model)
-    result = SOLVERS[args.solver](pattern, cfg, opts)
+    result = SOLVERS[args.solver](pattern, cfg, schedule, model)
     if args.out_map:
         data_io.save_mapping_table(args.out_map, result.perm)
     uplift = 100.0 * (result.score - original) / original
@@ -328,6 +308,7 @@ def cmd_compare(args) -> int:
     _, blocks = _load_blocks(args.data_dir)
     cfg = _arch_for(blocks)
     model = _load_model(args.model)
+    schedule = solvers.AnnealSchedule(iterations=args.iterations)
     identity_scores = [scoring.block_score(b, cfg) for b in blocks]
 
     text = [f"{'solver':<12}{'mean_score':>16}{'min_score':>16}{'max_score':>16}{'uplift%':>10}{'time_s':>10}"]
@@ -338,8 +319,7 @@ def cmd_compare(args) -> int:
         elapsed = 0.0
         try:
             for index, (block, identity) in enumerate(zip(blocks, identity_scores)):
-                opts = _SolverOptions(args.iterations, args.seed + index, model=model)
-                result = SOLVERS[name](block, cfg, opts)
+                result = SOLVERS[name](block, cfg, replace(schedule, seed=args.seed + index), model)
                 scores.append(result.score)
                 uplifts.append(100.0 * (result.score - identity) / identity)
                 elapsed += result.elapsed
@@ -430,13 +410,9 @@ def main(argv: list[str] | None = None) -> int:
     except _DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NonFiniteLoss, NonFiniteGradient) as exc:
-        suffix = f" (epoch {exc.epoch})" if getattr(exc, "epoch", None) is not None else ""
-        print(f"error: {type(exc).__name__}: {exc}{suffix}", file=sys.stderr)
+    except NonFiniteLoss as exc:
+        print(f"error: NonFiniteLoss: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except CodecError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (ArrangeError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -195,18 +195,17 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def _head_pass(hidden: np.ndarray, params: NetworkParams, netcfg: NetworkConfig):
+    """Softmax probabilities and ``inputs``, the input of each head layer:
+    the hidden states, then the ReLU output of every layer but the last."""
     if hidden.ndim != 2 or hidden.shape[1] != netcfg.hidden_size:
         raise DimensionMismatch(
             f"hidden states must be (*, {netcfg.hidden_size}), got {hidden.shape}"
         )
-    if len(params.head_w) == 1:
-        z1 = a1 = None
-        logits = hidden @ params.head_w[0].T + params.head_b[0]
-    else:
-        z1 = hidden @ params.head_w[0].T + params.head_b[0]
-        a1 = np.maximum(z1, 0.0)
-        logits = a1 @ params.head_w[1].T + params.head_b[1]
-    return _softmax_rows(logits), (z1, a1)
+    inputs = [hidden]
+    for w, b in zip(params.head_w[:-1], params.head_b[:-1]):
+        inputs.append(np.maximum(inputs[-1] @ w.T + b, 0.0))
+    logits = inputs[-1] @ params.head_w[-1].T + params.head_b[-1]
+    return _softmax_rows(logits), inputs
 
 
 def head_forward(
@@ -291,8 +290,7 @@ def backward(
         raise DimensionMismatch(f"score tensor must be ({n},{n},{n}), got {s.shape}")
 
     x, hs, cs, tanh_c, gates = _lstm_pass(pattern.cells, params, netcfg)
-    hidden = hs[1:]
-    p, (z1, a1) = _head_pass(hidden, params, netcfg)
+    p, inputs = _head_pass(hs[1:], params, netcfg)
     psg, prior = _seqgen_with_prior(p)
 
     # S_m = sum_t sum_abc u_t[a] v_t[b] w_t[c] s[a,b,c] with (u, v, w) the
@@ -323,19 +321,16 @@ def backward(
     row_dot = (g_p * p).sum(axis=1, keepdims=True)
     g_logits = p * (g_p - row_dot)
 
+    # Head layers in reverse; inputs[k] = max(z, 0) for k > 0, so the ReLU
+    # mask z > 0 is inputs[k] > 0.
     grads = params.zeros_like()
-    if len(params.head_w) == 1:
-        grads.head_w[0][...] = g_logits.T @ hidden
-        grads.head_b[0][...] = g_logits.sum(axis=0)
-        g_hidden = g_logits @ params.head_w[0]
-    else:
-        grads.head_w[1][...] = g_logits.T @ a1
-        grads.head_b[1][...] = g_logits.sum(axis=0)
-        g_a1 = g_logits @ params.head_w[1]
-        g_z1 = g_a1 * (z1 > 0)
-        grads.head_w[0][...] = g_z1.T @ hidden
-        grads.head_b[0][...] = g_z1.sum(axis=0)
-        g_hidden = g_z1 @ params.head_w[0]
+    g_hidden = g_logits
+    for k in range(len(inputs) - 1, -1, -1):
+        grads.head_w[k][...] = g_hidden.T @ inputs[k]
+        grads.head_b[k][...] = g_hidden.sum(axis=0)
+        g_hidden = g_hidden @ params.head_w[k]
+        if k:
+            g_hidden *= inputs[k] > 0
 
     # dZ = dc * (dgate/dz * partner) for the i, f, g gates and dh * (...) for
     # the output gate; the factors in brackets depend only on the forward pass.
@@ -385,6 +380,10 @@ def train(
     clipping act on the flat parameter vector; the clip norm adds the
     per-tensor sums of squares in checkpoint order. Returns the final
     parameters and the per-epoch mean training loss.
+
+    Every step runs with numpy overflow, invalid and divide errors raised, so
+    a non-finite loss, gradient or parameter anywhere in an epoch raises
+    NonFiniteLoss naming that epoch.
     """
     if not dataset:
         raise InvalidArgument("training dataset is empty")
@@ -403,29 +402,30 @@ def train(
     for epoch in range(traincfg.epochs):
         order = rng.permutation(len(dataset))
         total = 0.0
-        for idx in order:
-            try:
-                loss, grads = backward(dataset[idx], params, netcfg, tensors[idx])
-            except NonFiniteGradient as exc:
-                raise NonFiniteLoss(
-                    f"training diverged at epoch {epoch}: {exc}", epoch=epoch
-                ) from exc
-            g = grads.flat
-            if traincfg.gradient_clip_norm is not None:
-                norm = float(np.sqrt(sum(float((t * t).sum()) for t in grads.tensors())))
-                if norm > traincfg.gradient_clip_norm:
-                    g *= traincfg.gradient_clip_norm / norm
-            step += 1
-            bias1 = 1.0 - traincfg.beta1**step
-            bias2 = 1.0 - traincfg.beta2**step
-            moment1 *= traincfg.beta1
-            moment1 += (1.0 - traincfg.beta1) * g
-            moment2 *= traincfg.beta2
-            moment2 += (1.0 - traincfg.beta2) * (g * g)
-            flat -= traincfg.learning_rate * (moment1 / bias1) / (
-                np.sqrt(moment2 / bias2) + ADAM_EPSILON
-            )
-            total += loss
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for idx in order:
+                    loss, grads = backward(dataset[idx], params, netcfg, tensors[idx])
+                    g = grads.flat
+                    if traincfg.gradient_clip_norm is not None:
+                        norm = float(np.sqrt(sum(float((t * t).sum()) for t in grads.tensors())))
+                        if norm > traincfg.gradient_clip_norm:
+                            g *= traincfg.gradient_clip_norm / norm
+                    step += 1
+                    bias1 = 1.0 - traincfg.beta1**step
+                    bias2 = 1.0 - traincfg.beta2**step
+                    moment1 *= traincfg.beta1
+                    moment1 += (1.0 - traincfg.beta1) * g
+                    moment2 *= traincfg.beta2
+                    moment2 += (1.0 - traincfg.beta2) * (g * g)
+                    flat -= traincfg.learning_rate * (moment1 / bias1) / (
+                        np.sqrt(moment2 / bias2) + ADAM_EPSILON
+                    )
+                    total += loss
+        except (NonFiniteGradient, FloatingPointError) as exc:
+            raise NonFiniteLoss(
+                f"training diverged at epoch {epoch}: {exc}", epoch=epoch
+            ) from exc
         history.append(total / len(dataset))
     return params, history
 

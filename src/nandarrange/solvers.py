@@ -1,10 +1,12 @@
-"""Classical arrangement baselines: exhaustive, random search, greedy, annealing.
+"""Arrangement solvers: exhaustive, random search, greedy, annealing, and the
+trained network's arrangement (lstm_arrange).
 
-All solvers maximize the block score. Internally they work on the triple-score
-tensor, which makes one candidate evaluation an O(N) sum; the reported score is
-always recomputed from the returned permutation with block_score, so results
-can never carry a stale cached value. Every solver is a deterministic function
-of its inputs and seed.
+The classical solvers maximize the block score. Internally they work on the
+triple-score tensor, which makes one candidate evaluation an O(N) sum. Every
+solver, the network included, leaves through _finish, which recomputes the
+reported score from the returned permutation with block_score, so results
+can never carry a stale cached value. Every solver is a deterministic
+function of its inputs and seed.
 
 Greedy and exhaustive search are numpy array passes. Greedy advances all
 N(N-1) ordered starting pairs together, one masked argmax per appended page;
@@ -17,10 +19,11 @@ _seq_score takes over the same order; a pairwise row sum would round
 differently and could flip a near-tie.
 
 Random search and annealing follow one Python RNG stream each, so their draws
-stay sequential. Random search scores its draws in numpy batches with the
-same left-to-right sums. Annealing reads single entries through a memoryview
-of the tensor, only for the at most six triples a swap touches, and falls
-back to the exact full sum only when a rounding bound cannot settle a step.
+stay sequential. Random search scores its draws in numpy batches through the
+same row sum as exhaustive search, _row_totals. Annealing reads single
+entries through a memoryview of the tensor, only for the at most six triples
+a swap touches, and falls back to the exact full sum only when a rounding
+bound cannot settle a step.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import neural
 from .core import ArchConfig, BlockPattern, Permutation, apply_permutation
 from .errors import InvalidArgument, TooManyWordlines
 from .scoring import block_score, build_score_tensor
@@ -83,6 +87,15 @@ def _seq_score(tensor: memoryview, seq: list[int]) -> float:
     return total
 
 
+def _row_totals(tensor: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """_seq_score of every row of an integer page-order array, batched: the
+    triples are added one column at a time, left to right from 0.0."""
+    totals = np.zeros(len(rows))
+    for t in range(rows.shape[1] - 2):
+        totals += tensor[rows[:, t], rows[:, t + 1], rows[:, t + 2]]
+    return totals
+
+
 def _finish(pattern, cfg, order, evaluations, started) -> SolverResult:
     perm = Permutation(tuple(order))
     score = block_score(apply_permutation(pattern, perm), cfg)
@@ -118,10 +131,7 @@ def exhaustive_best(pattern: BlockPattern, cfg: ArchConfig) -> SolverResult:
         )
     tensor = build_score_tensor(pattern, cfg)
     perms = _permutations(n)
-    totals = np.zeros(len(perms))
-    for t in range(n - 2):
-        totals += tensor[perms[:, t], perms[:, t + 1], perms[:, t + 2]]
-    best_order = perms[int(totals.argmax())].tolist()
+    best_order = perms[int(_row_totals(tensor, perms).argmax())].tolist()
     return _finish(pattern, cfg, best_order, len(perms), started)
 
 
@@ -132,27 +142,23 @@ def random_search(
     last (Fisher-Yates over one Mersenne Twister stream).
 
     The draws are sequential; they are scored in numpy batches of
-    _RANDOM_BATCH rows (a 2 MiB index array at N=64), with the same exact
-    left-to-right sums as exhaustive search. The first argmax within a batch
-    and a strict > across batches keep the earliest best draw."""
+    _RANDOM_BATCH rows (a 2 MiB index array at N=64) by _row_totals, the
+    exact left-to-right sums exhaustive search takes. The first argmax within
+    a batch and a strict > across batches keep the earliest best draw."""
     if iterations < 1:
         raise InvalidArgument(f"iterations must be >= 1, got {iterations}")
     started = time.perf_counter()
-    n = pattern.num_wordlines
-    flat = build_score_tensor(pattern, cfg).reshape(-1)
+    tensor = build_score_tensor(pattern, cfg)
     rng = random.Random(seed)
     best_order = None
     best = -math.inf
-    seq = list(range(n))
+    seq = list(range(pattern.num_wordlines))
     for start in range(0, iterations, _RANDOM_BATCH):
         draws = []
         for _ in range(min(_RANDOM_BATCH, iterations - start)):
             rng.shuffle(seq)
             draws.append(seq[:])
-        rows = np.array(draws)
-        totals = np.zeros(len(rows))
-        for t in range(n - 2):
-            totals += flat[(rows[:, t] * n + rows[:, t + 1]) * n + rows[:, t + 2]]
+        totals = _row_totals(tensor, np.array(draws))
         top = int(totals.argmax())
         if totals[top] > best:
             best = totals[top]
@@ -324,3 +330,14 @@ def simulated_annealing(
 
     evaluations = greedy_count + 1 + schedule.iterations
     return _finish(pattern, cfg, best_order, evaluations, started)
+
+
+def lstm_arrange(
+    pattern: BlockPattern,
+    cfg: ArchConfig,
+    model: tuple[neural.NetworkParams, neural.NetworkConfig],
+) -> SolverResult:
+    """The trained network's arrangement, rescored like every other solver's.
+    Inference builds no score tensor and counts no evaluations."""
+    started = time.perf_counter()
+    return _finish(pattern, cfg, neural.arrange(pattern, *model).order, 0, started)

@@ -171,6 +171,15 @@ class TestArrange:
         assert code == 0
         assert "tensor_builds=0" in stdout
 
+    @pytest.mark.parametrize("flag", [("--cooling", "2"), ("--iterations", "0"), ("--t0", "0")])
+    def test_invalid_schedule_flag_exits_1_for_every_solver(self, tmp_path, capsys, flag):
+        out = gen_dataset(tmp_path, capsys, blocks=1, wordlines=4, cells=4)
+        block = next(out.glob("*.pdap"))
+        code, stdout, err = run(["arrange", "--in", str(block), "--solver", "greedy", *flag], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert "InvalidArgument" in err
+
     def test_exhaustive_too_large_exits_1(self, tmp_path, capsys):
         out = gen_dataset(tmp_path, capsys, blocks=1, wordlines=10, cells=2)
         block = next(out.glob("*.pdap"))
@@ -237,6 +246,29 @@ class TestTrainCommand:
             )
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_overflowing_run_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # A learning rate near the float limit overflows in the first epoch.
+        # Training must stop there rather than write a checkpoint holding a
+        # parameter outside the float range.
+        data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=8, seed=3)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "network": {"hidden_size": 4},
+            "train": {"epochs": 3, "seed": 1, "learning_rate": 1e307, "gradient_clip_norm": None},
+        }))
+        model = tmp_path / "model.pdaw"
+        code, stdout, err = run(
+            ["train", "--data-dir", str(data), "--config", str(cfg_path), "--out-model", str(model)],
+            capsys,
+        )
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("error: NonFiniteLoss: training diverged at epoch 0: ")
+        assert err.count("\n") == 1 and "(epoch" not in err
+        assert "RuntimeWarning" not in err
+        assert not model.exists()
+        assert not (tmp_path / "model.pdaw.loss.csv").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=8)
@@ -422,6 +454,19 @@ class TestCompare:
         _, greedy, exhaustive = csv_path.read_text().splitlines()
         assert greedy.startswith("greedy,8128.44,6320.0,9393.0,54.49249395599403,")
         assert exhaustive == "exhaustive,error,error,error,error,error"
+
+    def test_invalid_iterations_exit_1_before_any_row(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=5, cells=4)
+        csv_path = tmp_path / "report.csv"
+        code, out, err = run(
+            ["compare", "--data-dir", str(data), "--solvers", "greedy", "--iterations", "0",
+             "--csv", str(csv_path)],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "InvalidArgument" in err
+        assert not csv_path.exists()
 
     def test_unknown_solver_rejected(self, tmp_path, capsys):
         data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=5, cells=4)

@@ -24,6 +24,7 @@ from nandarrange import (
     lstm_forward,
     read_checkpoint,
     seqgen_transform,
+    split_dataset,
     train,
     write_checkpoint,
 )
@@ -43,7 +44,6 @@ from nandarrange.neural import (
     ADAM_EPSILON,
     LEVEL_SCALE,
     NetworkParams,
-    _head_pass,
     _param_shapes,
     _seqgen_with_prior,
     _softmax_rows,
@@ -125,7 +125,14 @@ def _reference_backward(pattern, params, netcfg, score_tensor):
     n = pattern.num_wordlines
     s = np.asarray(score_tensor, dtype=np.float64)
     hidden, lstm_cache = _reference_lstm_pass(pattern.cells, params, netcfg)
-    p, (z1, a1) = _head_pass(hidden, params, netcfg)
+    if len(params.head_w) == 1:
+        z1 = a1 = None
+        logits = hidden @ params.head_w[0].T + params.head_b[0]
+    else:
+        z1 = hidden @ params.head_w[0].T + params.head_b[0]
+        a1 = np.maximum(z1, 0.0)
+        logits = a1 @ params.head_w[1].T + params.head_b[1]
+    p = _softmax_rows(logits)
     psg, prior = _seqgen_with_prior(p)
 
     g_psg = np.zeros_like(psg)
@@ -569,6 +576,16 @@ class TestTrain:
         tensors[1][0, 1, 2] = np.inf
         with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss) as info:
             train(blocks, netcfg, TrainConfig(epochs=2, seed=0), CFG4, tensors=tensors)
+        assert info.value.epoch == 0
+
+    def test_overflow_raises_non_finite_loss_with_epoch(self):
+        # No NaN or inf in the data: a learning rate near the float limit
+        # overflows the first epoch's arithmetic. Softmax maps a -inf logit
+        # to 0, so the loss alone would stay finite.
+        blocks, _ = split_dataset([gen_random_block(CFG4, seed=3 + k) for k in range(10)], 1)
+        traincfg = TrainConfig(epochs=3, seed=1, learning_rate=1e307, gradient_clip_norm=None)
+        with pytest.raises(NonFiniteLoss) as info:
+            train(blocks, NET4, traincfg, CFG4)
         assert info.value.epoch == 0
 
 

@@ -10,15 +10,19 @@ from nandarrange import (
     AnnealSchedule,
     ArchConfig,
     BlockPattern,
+    NetworkConfig,
     Permutation,
     apply_permutation,
+    arrange,
     block_score,
     build_score_tensor,
     exhaustive_best,
     gen_random_block,
     greedy_arrange,
+    init_params,
     random_search,
     simulated_annealing,
+    tensor_build_count,
 )
 from nandarrange import solvers
 from nandarrange.errors import InvalidArgument, TooManyWordlines
@@ -443,6 +447,43 @@ def test_tensor_view_lookup_is_bit_exact(n):
     for _ in range(20):
         seq = rng.permutation(n).tolist()
         assert solvers._seq_score(view, seq).hex() == _reference_seq_score(nested, seq).hex()
+
+
+@given(
+    kind=st.sampled_from(BLOCK_KINDS),
+    n=st.integers(3, 12),
+    c=st.integers(1, 12),
+    k1=st.sampled_from([4.0, 1.0, 0.3]),
+    dtype=st.sampled_from([np.uint8, np.int64]),
+    rows=st.integers(1, 40),
+    block_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_row_totals_match_seq_score(kind, n, c, k1, dtype, rows, block_seed, seed):
+    # Exhaustive and random search both rank their rows by _row_totals; a
+    # total that rounds differently from _seq_score could flip a near-tie.
+    cfg = ArchConfig(num_wordlines=n, cells_per_page=c, k1=k1)
+    tensor = build_score_tensor(make_block(kind, n, c, block_seed), cfg)
+    rng = np.random.default_rng(seed)
+    orders = np.array([rng.permutation(n) for _ in range(rows)], dtype=dtype)
+    view = memoryview(tensor)
+    expected = [solvers._seq_score(view, order).hex() for order in orders.tolist()]
+    assert [total.hex() for total in solvers._row_totals(tensor, orders).tolist()] == expected
+
+
+def test_lstm_arrange_rescores_the_network_arrangement():
+    cfg = ArchConfig(num_wordlines=6, cells_per_page=5)
+    netcfg = NetworkConfig(input_dim=5, hidden_size=4, output_dim=6)
+    model = (init_params(netcfg, seed=3), netcfg)
+    pattern = gen_random_block(cfg, seed=7)
+    before = tensor_build_count()
+    result = solvers.lstm_arrange(pattern, cfg, model)
+    assert tensor_build_count() == before
+    perm = arrange(pattern, *model)
+    assert result.perm == perm
+    assert result.score == block_score(apply_permutation(pattern, perm), cfg)
+    assert result.evaluations == 0
 
 
 # (perm, score, evaluations) recorded from the sequential implementations, so
