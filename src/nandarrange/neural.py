@@ -21,6 +21,12 @@ float64, and its layout is in the README "File formats" table.
 
 The recurrence evaluates every gate with one tanh per step, using
 sigmoid(z) = 1/2 + tanh(z/2)/2 for the input, forget and output gates.
+
+Training runs in one workspace per run (``_Workspace``): every array a
+forward-and-backward step writes, the gradient vector and the per-step row
+views are allocated once, and each step and its in-place Adam update write
+into them. The public forward and backward functions run the same code on a
+fresh workspace per call.
 """
 
 from __future__ import annotations
@@ -119,9 +125,6 @@ class NetworkParams:
         """All parameter arrays in the fixed checkpoint order."""
         return list(self._views)
 
-    def zeros_like(self) -> "NetworkParams":
-        return NetworkParams(np.zeros_like(self.flat), [v.shape for v in self._views])
-
 
 def _param_shapes(netcfg: NetworkConfig) -> list[tuple[int, ...]]:
     """Parameter shapes in checkpoint order; weights are 2-D (out, fan_in)."""
@@ -147,65 +150,164 @@ def init_params(netcfg: NetworkConfig, seed: int | np.random.Generator = 0) -> N
     return params
 
 
-def _lstm_pass(cells: np.ndarray, params: NetworkParams, netcfg: NetworkConfig):
-    """Run the recurrence; return what backward needs.
+class _Workspace:
+    """Every array one forward-and-backward pass over n steps writes.
 
-    Returns x (N, C), hidden states hs (N+1, H) and cell states cs (N+1, H)
-    with row 0 the zero initial state, tanh of the cell states (N, H), and the
-    activated gates (N, 4H). Each step is one tanh over all 4H gates, using
+    ``train`` builds one per run and every step writes into it; the public
+    forward and backward functions build a fresh one per call. The row views
+    each loop walks are built here once, as tuples, so a step allocates no
+    array and builds no view. The gradient lands in ``grad``, named views
+    into the workspace's own flat vector in checkpoint order.
+    """
+
+    def __init__(self, netcfg: NetworkConfig, n: int):
+        h, out = netcfg.hidden_size, netcfg.output_dim
+        m = max(n - 2, 0)  # consecutive position triples
+
+        # LSTM forward. sigmoid(z) = 1/2 + tanh(z/2)/2 for the input, forget
+        # and output gates; the cell candidate is a plain tanh. Row 0 of hs
+        # and cs is the zero initial state.
+        self.mul = np.full(4 * h, 0.5)
+        self.mul[2 * h : 3 * h] = 1.0
+        self.add = 1.0 - self.mul
+        self.zx = np.empty((n, 4 * h))
+        self.w_hidden = np.empty((4 * h, h))
+        self.zh = np.empty(4 * h)
+        self.hs = np.zeros((n + 1, h))
+        self.cs = np.zeros((n + 1, h))
+        self.hidden = self.hs[1:]
+        self.tanh_c = np.empty((n, h))
+        self.gates = np.empty((n, 4 * h))
+        self.gi, self.gf, self.gg, self.go = (
+            self.gates[:, k * h : (k + 1) * h] for k in range(4)
+        )
+        self.vec_h = np.empty(h)
+        self.forward_steps = tuple(zip(
+            self.zx, self.hs[:-1], self.hidden, self.cs[:-1], self.cs[1:], self.gates,
+            self.gi, self.gf, self.gg, self.go, self.tanh_c,
+        ))
+
+        # Head: the ReLU output of every layer but the last, then the logits,
+        # softmaxed in place into p. inputs[k] is the input of head layer k.
+        self.relu = [np.empty((n, h)) for _ in range(netcfg.num_linear_layers - 1)]
+        self.inputs = [self.hidden, *self.relu]
+        self.p = np.empty((n, out))
+
+        # Non-repetition transform.
+        self.psg = np.empty((n, out))
+        self.prior = np.empty((n, out))
+        self.prior[:1] = 1.0
+        self.vec_out = np.empty(out)
+        self.seqgen_steps = _seqgen_steps(self.p, self.prior, self.psg)
+
+        # Score contraction over the consecutive position triples.
+        self.u_s = np.empty((m, out * out))
+        self.g_mid = np.empty((m, out, 1))
+        self.g_last = np.empty((m, 1, out))
+        self.vw = np.empty((m, out, out))
+        self.g_first = np.empty((m, out))
+        self.triples = np.empty((m, out))
+        self.g_psg = np.empty((n, out))
+
+        # Reverse non-repetition recursion: g_prior has a zero row past the last.
+        self.direct = np.empty((n, out))
+        self.decay = np.empty((n, out))
+        self.g_prior = np.zeros((n + 1, out))
+        self.prior_steps = tuple(zip(
+            self.decay[1:], self.g_prior[2:], self.g_prior[1:-1], self.direct[1:]
+        ))[::-1]
+        self.g_p = np.empty((n, out))
+        self.g_logits = np.empty((n, out))
+        self.row = np.empty((n, 1))
+
+        # Head backward: g_inputs[k] is the gradient of inputs[k].
+        self.g_inputs = [np.empty((n, h)) for _ in self.inputs]
+        self.relu_mask = [np.empty((n, h), dtype=bool) for _ in self.relu]
+
+        # LSTM backward. Row t+1 of dh_carry and dc_carry holds what step t
+        # receives from step t+1; row n stays zero.
+        self.factors = np.empty((n, 4, h))
+        self.dc_dh = np.empty((n, h))
+        self.tmp_nh = np.empty((n, h))
+        self.dz = np.empty((n, 4 * h))
+        dz_gates = self.dz.reshape(n, 4, h)
+        self.dh = np.empty(h)
+        self.dc = np.empty(h)
+        self.dh_carry = np.zeros((n + 1, h))
+        self.dc_carry = np.zeros((n + 1, h))
+        self.reverse_steps = tuple(zip(
+            self.g_inputs[0], self.dh_carry[1:], self.dc_carry[1:], self.dh_carry[:-1],
+            self.dc_carry[:-1], self.dc_dh, self.factors[:, :3], self.factors[:, 3],
+            dz_gates[:, :3], dz_gates[:, 3], self.gf, self.dz,
+        ))[::-1]
+
+        shapes = _param_shapes(netcfg)
+        self.grad = NetworkParams(np.zeros(sum(math.prod(s) for s in shapes)), shapes)
+
+
+def _lstm_into(ws: _Workspace, x: np.ndarray, params: NetworkParams) -> None:
+    """Run the recurrence over scaled levels x (N, C) into the workspace.
+
+    Fills hs and cs (row 0 the zero initial state), tanh of the cell states
+    and the activated gates. Each step is one tanh over all 4H gates, using
     sigmoid(z) = 1/2 + tanh(z/2)/2; the halving is folded into the input
     projection and the recurrent weights (scaling by 1/2 is exact).
     """
-    steps, width = cells.shape
+    zx, w_hidden, zh, cell, mul, add = ws.zx, ws.w_hidden, ws.zh, ws.vec_h, ws.mul, ws.add
+    np.matmul(x, params.w_input.T, out=zx)
+    zx += params.bias
+    zx *= mul
+    np.multiply(params.w_hidden, mul[:, None], out=w_hidden)
+    for zx_t, h_prev, h_t, c_prev, c_t, g_t, gi, gf, gg, go, tanh_c in ws.forward_steps:
+        np.matmul(w_hidden, h_prev, out=zh)
+        np.add(zx_t, zh, out=g_t)
+        np.tanh(g_t, out=g_t)
+        g_t *= mul
+        g_t += add
+        np.multiply(gf, c_prev, out=c_t)
+        np.multiply(gi, gg, out=cell)
+        c_t += cell
+        np.tanh(c_t, out=tanh_c)
+        np.multiply(go, tanh_c, out=h_t)
+
+
+def _scaled_levels(pattern: BlockPattern, netcfg: NetworkConfig) -> np.ndarray:
+    """The LSTM input (N, C): levels scaled into [0,1], once the width is checked."""
+    width = pattern.cells_per_page
     if width != netcfg.input_dim:
         raise DimensionMismatch(f"pattern has {width} cells/page, network wants {netcfg.input_dim}")
-    h = netcfg.hidden_size
-    mul = np.full(4 * h, 0.5)
-    mul[2 * h : 3 * h] = 1.0  # the cell candidate is a plain tanh
-    add = 1.0 - mul
-    x = cells.astype(np.float64) / LEVEL_SCALE
-    zx = (x @ params.w_input.T + params.bias) * mul
-    w_hidden = params.w_hidden * mul[:, None]
-    hs = np.zeros((steps + 1, h))
-    cs = np.zeros((steps + 1, h))
-    tanh_c = np.empty((steps, h))
-    gates = np.empty((steps, 4 * h))
-    gi, gf, gg, go = (gates[:, k * h : (k + 1) * h] for k in range(4))
-    for t in range(steps):
-        g = np.tanh(zx[t] + w_hidden @ hs[t], out=gates[t])
-        g *= mul
-        g += add
-        c = np.multiply(gf[t], cs[t], out=cs[t + 1])
-        c += gi[t] * gg[t]
-        np.multiply(go[t], np.tanh(c, out=tanh_c[t]), out=hs[t + 1])
-    return x, hs, cs, tanh_c, gates
+    return pattern.cells.astype(np.float64) / LEVEL_SCALE
 
 
 def lstm_forward(
     pattern: BlockPattern, params: NetworkParams, netcfg: NetworkConfig
 ) -> np.ndarray:
     """Hidden-state sequence (N, hidden_size); initial hidden and cell state are zero."""
-    return _lstm_pass(pattern.cells, params, netcfg)[1][1:]
+    x = _scaled_levels(pattern, netcfg)
+    ws = _Workspace(netcfg, pattern.num_wordlines)
+    _lstm_into(ws, x, params)
+    return ws.hidden
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax; ``out`` may be ``logits`` itself."""
+    out = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
-def _head_pass(hidden: np.ndarray, params: NetworkParams, netcfg: NetworkConfig):
-    """Softmax probabilities and ``inputs``, the input of each head layer:
-    the hidden states, then the ReLU output of every layer but the last."""
-    if hidden.ndim != 2 or hidden.shape[1] != netcfg.hidden_size:
-        raise DimensionMismatch(
-            f"hidden states must be (*, {netcfg.hidden_size}), got {hidden.shape}"
-        )
-    inputs = [hidden]
-    for w, b in zip(params.head_w[:-1], params.head_b[:-1]):
-        inputs.append(np.maximum(inputs[-1] @ w.T + b, 0.0))
-    logits = inputs[-1] @ params.head_w[-1].T + params.head_b[-1]
-    return _softmax_rows(logits), inputs
+def _head_into(ws: _Workspace, hidden: np.ndarray, params: NetworkParams) -> np.ndarray:
+    """Softmax probabilities of the head on ``hidden`` (N, H), written to ws.p;
+    the ReLU outputs of the inner layers go to ws.relu."""
+    layer_in = hidden
+    for w, b, relu in zip(params.head_w, params.head_b, ws.relu):
+        np.matmul(layer_in, w.T, out=relu)
+        relu += b
+        layer_in = np.maximum(relu, 0.0, out=relu)
+    logits = np.matmul(layer_in, params.head_w[-1].T, out=ws.p)
+    logits += params.head_b[-1]
+    return _softmax_rows(logits, out=logits)
 
 
 def head_forward(
@@ -213,19 +315,34 @@ def head_forward(
 ) -> np.ndarray:
     """Row-stochastic position-probability matrix: row i is the source-page
     distribution for physical position i."""
-    p, _ = _head_pass(np.asarray(hidden_states, dtype=np.float64), params, netcfg)
-    return p
+    hidden = np.asarray(hidden_states, dtype=np.float64)
+    if hidden.ndim != 2 or hidden.shape[1] != netcfg.hidden_size:
+        raise DimensionMismatch(
+            f"hidden states must be (*, {netcfg.hidden_size}), got {hidden.shape}"
+        )
+    return _head_into(_Workspace(netcfg, hidden.shape[0]), hidden, params)
+
+
+def _seqgen_steps(p: np.ndarray, prior: np.ndarray, psg: np.ndarray) -> tuple:
+    """Rows (p[i], prior[i], psg[i], prior[i+1]) for _seqgen_into; the last
+    row has None for prior[i+1]."""
+    return tuple(zip(p, prior, psg, [*prior[1:], None]))
+
+
+def _seqgen_into(steps: tuple, scratch: np.ndarray) -> None:
+    """psg[i] = p[i] * prior[i] and prior[i+1] = prior[i] * (1 - psg[i]), row by row."""
+    for p_i, prior_i, psg_i, prior_next in steps:
+        np.multiply(p_i, prior_i, out=psg_i)
+        if prior_next is not None:
+            np.subtract(1.0, psg_i, out=scratch)
+            np.multiply(prior_i, scratch, out=prior_next)
 
 
 def _seqgen_with_prior(p: np.ndarray):
     psg = np.empty_like(p)
     prior = np.empty_like(p)
-    prior[0] = 1.0
-    rows = p.shape[0]
-    for i in range(rows):
-        psg[i] = p[i] * prior[i]
-        if i + 1 < rows:
-            prior[i + 1] = prior[i] * (1.0 - psg[i])
+    prior[:1] = 1.0
+    _seqgen_into(_seqgen_steps(p, prior, psg), np.empty(p.shape[1]))
     return psg, prior
 
 
@@ -263,6 +380,116 @@ def expected_score(pac: np.ndarray, sac: np.ndarray) -> float:
     return float((pac * sac).sum())
 
 
+def _score_rows(
+    pattern: BlockPattern, netcfg: NetworkConfig, score_tensor: np.ndarray
+) -> np.ndarray:
+    """The score tensor as (N, N*N) float64 rows, once it and the block's
+    wordline count are checked against the network."""
+    n = pattern.num_wordlines
+    if netcfg.output_dim != n:
+        raise DimensionMismatch(f"network emits {netcfg.output_dim} positions, block has {n}")
+    s = np.asarray(score_tensor, dtype=np.float64)
+    if s.shape != (n, n, n):
+        raise DimensionMismatch(f"score tensor must be ({n},{n},{n}), got {s.shape}")
+    return s.reshape(n, n * n)
+
+
+def _backward_into(
+    ws: _Workspace,
+    x: np.ndarray,
+    params: NetworkParams,
+    s_flat: np.ndarray,
+    s_flat_t: np.ndarray,
+) -> float:
+    """Loss -S_m for one block; the gradient of every parameter goes to ws.grad.
+
+    ``x`` is the block's scaled levels, ``s_flat`` its score tensor as
+    (N, N*N) rows and ``s_flat_t`` that matrix's transpose. See ``backward``.
+    """
+    _lstm_into(ws, x, params)
+    p = _head_into(ws, ws.hidden, params)
+    _seqgen_into(ws.seqgen_steps, ws.vec_out)
+    psg, prior, g_psg, grad = ws.psg, ws.prior, ws.g_psg, ws.grad
+
+    # S_m = sum_t sum_abc u_t[a] v_t[b] w_t[c] s[a,b,c] with (u, v, w) the
+    # rows (t, t+1, t+2); the gradient of each role leaves that role out.
+    n = psg.shape[0]
+    u, v, w = psg[:-2], psg[1:-1], psg[2:]
+    u_s = np.matmul(u, s_flat, out=ws.u_s).reshape(n - 2, n, n)
+    g_mid = np.matmul(u_s, w[:, :, None], out=ws.g_mid)[:, :, 0]
+    g_last = np.matmul(v[:, None, :], u_s, out=ws.g_last)[:, 0, :]
+    vw = np.multiply(v[:, :, None], w[:, None, :], out=ws.vw).reshape(n - 2, n * n)
+    g_first = np.matmul(vw, s_flat_t, out=ws.g_first)
+    loss = -float(np.multiply(g_last, w, out=ws.triples).sum())
+    g_psg.fill(0.0)
+    g_psg[2:] -= g_last
+    g_psg[1:-1] -= g_mid
+    g_psg[:-2] -= g_first
+
+    # Non-repetition recursion, reversed: psg[i] = p[i] * prior[i] and
+    # prior[i+1] = prior[i] - p[i] * prior[i]**2, so g_prior[i] (dLoss/dprior[i],
+    # zero past the last row) obeys a two-term recurrence.
+    np.multiply(p, g_psg, out=ws.direct)
+    np.multiply(2.0, psg, out=ws.decay)
+    np.subtract(1.0, ws.decay, out=ws.decay)
+    for decay_i, g_prior_next, g_prior_i, direct_i in ws.prior_steps:
+        np.multiply(decay_i, g_prior_next, out=g_prior_i)
+        g_prior_i += direct_i
+    g_p = np.multiply(prior, ws.g_prior[1:], out=ws.g_p)
+    np.subtract(g_psg, g_p, out=g_p)
+    g_p *= prior
+
+    g_logits = np.multiply(g_p, p, out=ws.g_logits)
+    row_dot = np.sum(g_logits, axis=1, keepdims=True, out=ws.row)
+    np.subtract(g_p, row_dot, out=g_logits)
+    g_logits *= p
+
+    # Head layers in reverse; inputs[k] = max(z, 0) for k > 0, so the ReLU
+    # mask z > 0 is inputs[k] > 0.
+    g_out = g_logits
+    for k in range(len(ws.inputs) - 1, -1, -1):
+        layer_in = ws.inputs[k]
+        np.matmul(g_out.T, layer_in, out=grad.head_w[k])
+        np.sum(g_out, axis=0, out=grad.head_b[k])
+        g_out = np.matmul(g_out, params.head_w[k], out=ws.g_inputs[k])
+        if k:
+            g_out *= np.greater(layer_in, 0.0, out=ws.relu_mask[k - 1])
+
+    # dZ = dc * (dgate/dz * partner) for the i, f, g gates and dh * (...) for
+    # the output gate; the factors in brackets depend only on the forward pass.
+    gi, gf, gg, go, tanh_c, tmp = ws.gi, ws.gf, ws.gg, ws.go, ws.tanh_c, ws.tmp_nh
+    f_i, f_f, f_g, f_o = (ws.factors[:, k] for k in range(4))
+    np.multiply(gg, gi, out=f_i)
+    f_i *= np.subtract(1.0, gi, out=tmp)
+    np.multiply(ws.cs[:-1], gf, out=f_f)
+    f_f *= np.subtract(1.0, gf, out=tmp)
+    np.multiply(gg, gg, out=tmp)
+    np.multiply(gi, np.subtract(1.0, tmp, out=tmp), out=f_g)
+    np.multiply(tanh_c, go, out=f_o)
+    f_o *= np.subtract(1.0, go, out=tmp)
+    np.multiply(tanh_c, tanh_c, out=tmp)
+    np.multiply(go, np.subtract(1.0, tmp, out=tmp), out=ws.dc_dh)
+    w_hidden, dh, dc, scratch = params.w_hidden, ws.dh, ws.dc, ws.vec_h
+    for (g_hidden, dh_next, dc_next, dh_out, dc_out, dc_dh, f_cell, f_out,
+         dz_cell, dz_out, gf_t, dz) in ws.reverse_steps:
+        np.add(g_hidden, dh_next, out=dh)
+        np.multiply(dh, dc_dh, out=scratch)
+        np.add(dc_next, scratch, out=dc)
+        np.multiply(f_cell, dc, out=dz_cell)
+        np.multiply(f_out, dh, out=dz_out)
+        np.multiply(dc, gf_t, out=dc_out)
+        np.matmul(dz, w_hidden, out=dh_out)
+    np.matmul(ws.dz.T, x, out=grad.w_input)
+    np.matmul(ws.dz.T, ws.hs[:-1], out=grad.w_hidden)
+    np.sum(ws.dz, axis=0, out=grad.bias)
+
+    if not np.isfinite(loss) or not np.isfinite(grad.flat).all():
+        raise NonFiniteGradient(
+            "non-finite loss or gradient; clip gradients or reduce the learning rate"
+        )
+    return loss
+
+
 def backward(
     pattern: BlockPattern,
     params: NetworkParams,
@@ -278,90 +505,18 @@ def backward(
     tensor reshaped to (N, N*N); the LSTM input projection runs for all steps
     before the recurrence, the gate-derivative factors for all steps before
     the reverse loop, and the weight gradients after it (dZ^T x, dZ^T h_prev,
-    sum of dZ). What remains per step is a handful of small numpy calls: a
-    call takes about 0.4 ms at N=8, C=32, H=16 on a 2-vCPU host, almost all
-    of it numpy call overhead. Raises NonFiniteGradient if anything overflows.
+    sum of dZ). What remains per step is a handful of small numpy calls, each
+    writing into a preallocated workspace: inside ``train``, which reuses one
+    workspace, a step takes about 0.3 ms at N=8, C=32, H=16 on a 2-vCPU host,
+    almost all of it numpy call overhead. This call builds a fresh workspace,
+    so the returned gradients belong to the caller. Raises NonFiniteGradient
+    if anything overflows.
     """
-    n = pattern.num_wordlines
-    if netcfg.output_dim != n:
-        raise DimensionMismatch(f"network emits {netcfg.output_dim} positions, block has {n}")
-    s = np.asarray(score_tensor, dtype=np.float64)
-    if s.shape != (n, n, n):
-        raise DimensionMismatch(f"score tensor must be ({n},{n},{n}), got {s.shape}")
-
-    x, hs, cs, tanh_c, gates = _lstm_pass(pattern.cells, params, netcfg)
-    p, inputs = _head_pass(hs[1:], params, netcfg)
-    psg, prior = _seqgen_with_prior(p)
-
-    # S_m = sum_t sum_abc u_t[a] v_t[b] w_t[c] s[a,b,c] with (u, v, w) the
-    # rows (t, t+1, t+2); the gradient of each role leaves that role out.
-    u, v, w = psg[:-2], psg[1:-1], psg[2:]
-    s_flat = s.reshape(n, n * n)
-    u_s = (u @ s_flat).reshape(n - 2, n, n)
-    g_mid = (u_s @ w[:, :, None])[:, :, 0]
-    g_last = (v[:, None, :] @ u_s)[:, 0, :]
-    g_first = (v[:, :, None] * w[:, None, :]).reshape(n - 2, n * n) @ s_flat.T
-    loss = -float((g_last * w).sum())
-    g_psg = np.zeros_like(psg)
-    g_psg[2:] -= g_last
-    g_psg[1:-1] -= g_mid
-    g_psg[:-2] -= g_first
-
-    # Non-repetition recursion, reversed: psg[i] = p[i] * prior[i] and
-    # prior[i+1] = prior[i] - p[i] * prior[i]**2, so g_prior[i] (dLoss/dprior[i],
-    # zero past the last row) obeys a two-term recurrence.
-    direct = p * g_psg
-    decay = 1.0 - 2.0 * psg
-    g_prior = np.zeros((n + 1, n))
-    for i in range(n - 1, 0, -1):
-        np.multiply(decay[i], g_prior[i + 1], out=g_prior[i])
-        g_prior[i] += direct[i]
-    g_p = prior * (g_psg - prior * g_prior[1:])
-
-    row_dot = (g_p * p).sum(axis=1, keepdims=True)
-    g_logits = p * (g_p - row_dot)
-
-    # Head layers in reverse; inputs[k] = max(z, 0) for k > 0, so the ReLU
-    # mask z > 0 is inputs[k] > 0.
-    grads = params.zeros_like()
-    g_hidden = g_logits
-    for k in range(len(inputs) - 1, -1, -1):
-        grads.head_w[k][...] = g_hidden.T @ inputs[k]
-        grads.head_b[k][...] = g_hidden.sum(axis=0)
-        g_hidden = g_hidden @ params.head_w[k]
-        if k:
-            g_hidden *= inputs[k] > 0
-
-    # dZ = dc * (dgate/dz * partner) for the i, f, g gates and dh * (...) for
-    # the output gate; the factors in brackets depend only on the forward pass.
-    h = netcfg.hidden_size
-    gi, gf, gg, go = (gates[:, k * h : (k + 1) * h] for k in range(4))
-    factors = np.empty((n, 4, h))
-    factors[:, 0] = gg * gi * (1.0 - gi)
-    factors[:, 1] = cs[:-1] * gf * (1.0 - gf)
-    factors[:, 2] = gi * (1.0 - gg * gg)
-    factors[:, 3] = tanh_c * go * (1.0 - go)
-    dc_dh = go * (1.0 - tanh_c * tanh_c)
-    dz = np.empty((n, 4 * h))
-    dz_gates = dz.reshape(n, 4, h)
-    dh_next = np.zeros(h)
-    dc_next = np.zeros(h)
-    for t in range(n - 1, -1, -1):
-        dh = g_hidden[t] + dh_next
-        dc = dc_next + dh * dc_dh[t]
-        np.multiply(factors[t, :3], dc, out=dz_gates[t, :3])
-        np.multiply(factors[t, 3], dh, out=dz_gates[t, 3])
-        dc_next = dc * gf[t]
-        dh_next = dz[t] @ params.w_hidden
-    grads.w_input[...] = dz.T @ x
-    grads.w_hidden[...] = dz.T @ hs[:-1]
-    grads.bias[...] = dz.sum(axis=0)
-
-    if not np.isfinite(loss) or not np.isfinite(grads.flat).all():
-        raise NonFiniteGradient(
-            "non-finite loss or gradient; clip gradients or reduce the learning rate"
-        )
-    return loss, grads
+    s_flat = _score_rows(pattern, netcfg, score_tensor)
+    x = _scaled_levels(pattern, netcfg)
+    ws = _Workspace(netcfg, pattern.num_wordlines)
+    loss = _backward_into(ws, x, params, s_flat, s_flat.T)
+    return loss, ws.grad
 
 
 def train(
@@ -376,10 +531,13 @@ def train(
 
     Blocks are shuffled every epoch from the run seed. Score tensors are built
     once per block up front unless the caller passes them in dataset order
-    (scoring happens only here, never at inference). Adam and gradient
-    clipping act on the flat parameter vector; the clip norm adds the
-    per-tensor sums of squares in checkpoint order. Returns the final
-    parameters and the per-epoch mean training loss.
+    (scoring happens only here, never at inference). Every block and tensor
+    shape is checked against ``netcfg`` before the first step, and each
+    block's scaled levels and reshaped tensor are made once per run. All steps
+    write into one workspace. Adam and gradient clipping act on the flat
+    parameter vector in place; the clip norm adds the per-tensor sums of
+    squares in checkpoint order. Returns the final parameters and the
+    per-epoch mean training loss.
 
     Every step runs with numpy overflow, invalid and divide errors raised, so
     a non-finite loss, gradient or parameter anywhere in an epoch raises
@@ -391,12 +549,23 @@ def train(
         tensors = [build_score_tensor(block, cfg) for block in dataset]
     elif len(tensors) != len(dataset):
         raise InvalidArgument(f"{len(tensors)} score tensors for {len(dataset)} blocks")
+    inputs = []
+    for block, tensor in zip(dataset, tensors):
+        s_flat = _score_rows(block, netcfg, tensor)
+        inputs.append((_scaled_levels(block, netcfg), s_flat, s_flat.T))
     rng = np.random.default_rng(traincfg.seed)
     params = init_params(netcfg, rng)
 
-    flat = params.flat
+    ws = _Workspace(netcfg, netcfg.output_dim)
+    flat, g = params.flat, ws.grad.flat
+    square = np.empty_like(flat)
+    square_views = NetworkParams(square, _param_shapes(netcfg)).tensors()
     moment1 = np.zeros_like(flat)
     moment2 = np.zeros_like(flat)
+    update = np.empty_like(flat)
+    denom = np.empty_like(flat)
+    beta1, beta2 = traincfg.beta1, traincfg.beta2
+    clip = traincfg.gradient_clip_norm
     step = 0
     history: list[float] = []
     for epoch in range(traincfg.epochs):
@@ -405,22 +574,28 @@ def train(
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 for idx in order:
-                    loss, grads = backward(dataset[idx], params, netcfg, tensors[idx])
-                    g = grads.flat
-                    if traincfg.gradient_clip_norm is not None:
-                        norm = float(np.sqrt(sum(float((t * t).sum()) for t in grads.tensors())))
-                        if norm > traincfg.gradient_clip_norm:
-                            g *= traincfg.gradient_clip_norm / norm
+                    x, s_flat, s_flat_t = inputs[idx]
+                    loss = _backward_into(ws, x, params, s_flat, s_flat_t)
+                    np.multiply(g, g, out=square)
+                    if clip is not None:
+                        norm = float(np.sqrt(sum(float(v.sum()) for v in square_views)))
+                        if norm > clip:
+                            g *= clip / norm
+                            np.multiply(g, g, out=square)
                     step += 1
-                    bias1 = 1.0 - traincfg.beta1**step
-                    bias2 = 1.0 - traincfg.beta2**step
-                    moment1 *= traincfg.beta1
-                    moment1 += (1.0 - traincfg.beta1) * g
-                    moment2 *= traincfg.beta2
-                    moment2 += (1.0 - traincfg.beta2) * (g * g)
-                    flat -= traincfg.learning_rate * (moment1 / bias1) / (
-                        np.sqrt(moment2 / bias2) + ADAM_EPSILON
-                    )
+                    bias1 = 1.0 - beta1**step
+                    bias2 = 1.0 - beta2**step
+                    moment1 *= beta1
+                    moment1 += np.multiply(1.0 - beta1, g, out=update)
+                    moment2 *= beta2
+                    moment2 += np.multiply(1.0 - beta2, square, out=update)
+                    np.divide(moment1, bias1, out=update)
+                    update *= traincfg.learning_rate
+                    np.divide(moment2, bias2, out=denom)
+                    np.sqrt(denom, out=denom)
+                    denom += ADAM_EPSILON
+                    update /= denom
+                    flat -= update
                     total += loss
         except (NonFiniteGradient, FloatingPointError) as exc:
             raise NonFiniteLoss(
@@ -506,6 +681,10 @@ def read_checkpoint(data: bytes) -> tuple[NetworkParams, NetworkConfig]:
     )
     netcfg, shapes = _checkpoint_layout(*dims)
     flat = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        # train never writes one: a non-finite step raises NonFiniteLoss.
+        raise CodecError(f"checkpoint parameter {bad[0]} is not finite: {float(flat[bad[0]])}")
     return NetworkParams(flat, shapes), netcfg
 
 

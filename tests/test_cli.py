@@ -24,6 +24,16 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def nan_model(tmp_path, wordlines, cells):
+    """A well-framed checkpoint with one NaN weight, which train never writes."""
+    netcfg = NetworkConfig(input_dim=cells, hidden_size=4, output_dim=wordlines)
+    params = init_params(netcfg, seed=0)
+    params.w_hidden[1, 2] = np.nan
+    path = tmp_path / "nan.pdaw"
+    save_checkpoint(path, params, netcfg)
+    return path
+
+
 def gen_dataset(tmp_path, capsys, blocks=10, wordlines=5, cells=4, seed=0, name="data"):
     out = tmp_path / name
     code = main(
@@ -170,6 +180,17 @@ class TestArrange:
         )
         assert code == 0
         assert "tensor_builds=0" in stdout
+
+    def test_non_finite_model_exits_2(self, tmp_path, capsys):
+        out = gen_dataset(tmp_path, capsys, blocks=1, wordlines=4, cells=4)
+        block = next(out.glob("*.pdap"))
+        model = nan_model(tmp_path, wordlines=4, cells=4)
+        code, stdout, err = run(
+            ["arrange", "--in", str(block), "--solver", "lstm", "--model", str(model)], capsys
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "CodecError: checkpoint parameter" in err and "is not finite: nan" in err
 
     @pytest.mark.parametrize("flag", [("--cooling", "2"), ("--iterations", "0"), ("--t0", "0")])
     def test_invalid_schedule_flag_exits_1_for_every_solver(self, tmp_path, capsys, flag):
@@ -466,6 +487,20 @@ class TestCompare:
         assert code == 1
         assert out == ""
         assert "InvalidArgument" in err
+        assert not csv_path.exists()
+
+    def test_non_finite_model_exits_2_before_any_row(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=5, cells=4)
+        model = nan_model(tmp_path, wordlines=5, cells=4)
+        csv_path = tmp_path / "report.csv"
+        code, out, err = run(
+            ["compare", "--data-dir", str(data), "--solvers", "lstm,greedy",
+             "--model", str(model), "--csv", str(csv_path)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "CodecError" in err
         assert not csv_path.exists()
 
     def test_unknown_solver_rejected(self, tmp_path, capsys):

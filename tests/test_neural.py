@@ -158,7 +158,7 @@ def _reference_backward(pattern, params, netcfg, score_tensor):
     row_dot = (g_p * p).sum(axis=1, keepdims=True)
     g_logits = p * (g_p - row_dot)
 
-    grads = params.zeros_like()
+    grads = NetworkParams(np.zeros_like(params.flat), [t.shape for t in params.tensors()])
     if len(params.head_w) == 1:
         grads.head_w[0][...] = g_logits.T @ hidden
         grads.head_b[0][...] = g_logits.sum(axis=0)
@@ -257,7 +257,7 @@ class TestNetworkConfig:
 class TestLstmForward:
     def test_zero_params_give_zero_hidden(self):
         pattern, params, netcfg, _ = tiny_setup()
-        zero = params.zeros_like()
+        zero = NetworkParams(np.zeros_like(params.flat), _param_shapes(netcfg))
         hidden = lstm_forward(pattern, zero, netcfg)
         assert np.all(hidden == 0.0)
 
@@ -309,7 +309,7 @@ class TestLstmForward:
 class TestHeadForward:
     def test_zero_head_gives_uniform_rows(self):
         pattern, params, netcfg, _ = tiny_setup()
-        zero = params.zeros_like()
+        zero = NetworkParams(np.zeros_like(params.flat), _param_shapes(netcfg))
         zero.w_input[...] = params.w_input  # keep the LSTM, zero only the head
         zero.w_hidden[...] = params.w_hidden
         zero.bias[...] = params.bias
@@ -475,6 +475,17 @@ class TestBackward:
         for a, b in zip(grads_a.tensors(), grads_b.tensors()):
             assert np.array_equal(a, b)
 
+    def test_each_call_returns_gradients_of_its_own(self):
+        # train reuses one workspace; the public call must not hand it out twice.
+        pattern, params, netcfg, tensor = tiny_setup(seed=11, layers=2)
+        _, grads_a = backward(pattern, params, netcfg, tensor)
+        kept = grads_a.flat.copy()
+        _, grads_b = backward(pattern, params, netcfg, tensor)
+        assert not np.shares_memory(grads_a.flat, grads_b.flat)
+        assert not any(np.shares_memory(a, b) for a in grads_a.tensors() for b in grads_b.tensors())
+        grads_b.flat[:] = np.nan
+        assert np.array_equal(grads_a.flat, kept)
+
     @given(
         n=st.integers(3, 10),
         c=st.integers(1, 16),
@@ -548,6 +559,54 @@ class TestTrain:
             assert relative_error(got, expected) <= 1e-12
         for got, expected in zip(params.tensors(), ref_params.tensors()):
             assert_close_to_max(got, expected, 1e-12)
+
+    @pytest.mark.parametrize(
+        "layers, model_digest, loss_digest",
+        [
+            (
+                1,
+                "1292600aa37e92ac9a0e76a179ddac6415a9cc9ad353d8e642226e685a2cf83f",
+                "60833e254450e4cc764e0ec0dbe0409c3a0ecbfa562456b2076d16f6586dcbd2",
+            ),
+            (
+                2,
+                "2956693c8b9348f40b0a4fa07beb59e0d59e7adb9f695463c1b520d8999f4d7c",
+                "46c5c76e53a6b62583eefa01f34a168258b44ddc272e28c947adc440b4a844fc",
+            ),
+        ],
+    )
+    def test_short_desk_run_is_pinned(self, layers, model_digest, loss_digest):
+        # Recorded from the training step that allocated its arrays per call
+        # (numpy 2.4, OpenBLAS, x86-64): the reusable workspace must not move a bit.
+        cfg = ArchConfig(num_wordlines=8, cells_per_page=32)
+        blocks = [gen_random_block(cfg, seed=s) for s in range(10)]
+        netcfg = NetworkConfig(input_dim=32, hidden_size=16, output_dim=8, num_linear_layers=layers)
+        params, history = train(blocks, netcfg, TrainConfig(epochs=3, seed=1), cfg)
+        assert hashlib.sha256(write_checkpoint(params, netcfg)).hexdigest() == model_digest
+        assert hashlib.sha256(repr(history).encode()).hexdigest() == loss_digest
+
+    @pytest.mark.parametrize("mismatch", ["block", "tensor"])
+    def test_every_shape_is_checked_before_the_first_step(self, monkeypatch, mismatch):
+        blocks = [gen_random_block(CFG4, seed=s) for s in range(3)]
+        tensors = [build_score_tensor(block, CFG4) for block in blocks]
+        if mismatch == "block":
+            wide = ArchConfig(num_wordlines=4, cells_per_page=9)
+            blocks[1] = gen_random_block(wide, seed=1)
+            tensors[1] = build_score_tensor(blocks[1], wide)
+        else:
+            tensors[1] = np.zeros((4, 4, 5))
+        steps = []
+        monkeypatch.setattr(neural, "_backward_into", lambda *args: steps.append(args))
+        with pytest.raises(DimensionMismatch):
+            train(blocks, NET4, TrainConfig(epochs=1), CFG4, tensors=tensors)
+        assert steps == []
+
+    def test_block_with_other_wordline_count_rejected(self):
+        short = ArchConfig(num_wordlines=3, cells_per_page=8)
+        blocks = [gen_random_block(CFG4, seed=0), gen_random_block(short, seed=1)]
+        tensors = [build_score_tensor(blocks[0], CFG4), build_score_tensor(blocks[1], short)]
+        with pytest.raises(DimensionMismatch, match="network emits 4 positions, block has 3"):
+            train(blocks, NET4, TrainConfig(epochs=1), CFG4, tensors=tensors)
 
     def test_uses_prebuilt_tensors(self):
         netcfg = NetworkConfig(input_dim=8, hidden_size=4, output_dim=4)
@@ -740,10 +799,11 @@ class TestFlatParams:
         assert sum(np.linalg.norm(g) > 5.0 for g in feed) >= 5
         calls = iter(range(20))
 
-        def fed_backward(pattern, params, netcfg, tensor):
-            return 0.0, NetworkParams(feed[next(calls)].copy(), shapes)
+        def fed_backward(ws, x, params, s_flat, s_flat_t):
+            ws.grad.flat[:] = feed[next(calls)]
+            return 0.0
 
-        monkeypatch.setattr(neural, "backward", fed_backward)
+        monkeypatch.setattr(neural, "_backward_into", fed_backward)
         traincfg = TrainConfig(epochs=5, seed=6, learning_rate=1e-2, gradient_clip_norm=clip)
         blocks = [gen_random_block(CFG4, seed=s) for s in range(4)]
         params, _ = train(blocks, netcfg, traincfg, CFG4)
@@ -796,6 +856,15 @@ class TestCheckpoint:
         data[13:17] = (7).to_bytes(4, "little")  # num_linear_layers = 7
         with pytest.raises(CodecError):
             read_checkpoint(bytes(data))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, value):
+        netcfg = NetworkConfig(input_dim=2, hidden_size=2, output_dim=3, num_linear_layers=2)
+        params = init_params(netcfg, 0)
+        params.flat[7] = value
+        params.flat[9] = np.nan
+        with pytest.raises(CodecError, match="checkpoint parameter 7 is not finite"):
+            read_checkpoint(write_checkpoint(params, netcfg))
 
     def test_magic_is_pdaw(self):
         netcfg = NetworkConfig(input_dim=2, hidden_size=2, output_dim=3)
