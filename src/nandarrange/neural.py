@@ -341,7 +341,7 @@ def _seqgen_into(steps: tuple, scratch: np.ndarray) -> None:
 def _seqgen_with_prior(p: np.ndarray):
     psg = np.empty_like(p)
     prior = np.empty_like(p)
-    prior[:1] = 1.0
+    prior[0] = 1.0
     _seqgen_into(_seqgen_steps(p, prior, psg), np.empty(p.shape[1]))
     return psg, prior
 
