@@ -585,28 +585,31 @@ class TestTrain:
         assert hashlib.sha256(write_checkpoint(params, netcfg)).hexdigest() == model_digest
         assert hashlib.sha256(repr(history).encode()).hexdigest() == loss_digest
 
-    @pytest.mark.parametrize("mismatch", ["block", "tensor"])
-    def test_every_shape_is_checked_before_the_first_step(self, monkeypatch, mismatch):
+    @pytest.mark.parametrize(
+        "mismatch, message",
+        [
+            ("width", "pattern has 9 cells/page, network wants 8"),
+            ("wordlines", "network emits 4 positions, block has 3"),
+            ("tensor", r"score tensor must be \(4,4,4\), got \(4, 4, 5\)"),
+        ],
+    )
+    def test_every_shape_is_checked_before_the_first_step(self, monkeypatch, mismatch, message):
         blocks = [gen_random_block(CFG4, seed=s) for s in range(3)]
         tensors = [build_score_tensor(block, CFG4) for block in blocks]
-        if mismatch == "block":
-            wide = ArchConfig(num_wordlines=4, cells_per_page=9)
-            blocks[1] = gen_random_block(wide, seed=1)
-            tensors[1] = build_score_tensor(blocks[1], wide)
-        else:
+        if mismatch == "tensor":
             tensors[1] = np.zeros((4, 4, 5))
+        else:
+            other = ArchConfig(
+                num_wordlines=4 if mismatch == "width" else 3,
+                cells_per_page=9 if mismatch == "width" else 8,
+            )
+            blocks[1] = gen_random_block(other, seed=1)
+            tensors[1] = build_score_tensor(blocks[1], other)
         steps = []
         monkeypatch.setattr(neural, "_backward_into", lambda *args: steps.append(args))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=message):
             train(blocks, NET4, TrainConfig(epochs=1), CFG4, tensors=tensors)
         assert steps == []
-
-    def test_block_with_other_wordline_count_rejected(self):
-        short = ArchConfig(num_wordlines=3, cells_per_page=8)
-        blocks = [gen_random_block(CFG4, seed=0), gen_random_block(short, seed=1)]
-        tensors = [build_score_tensor(blocks[0], CFG4), build_score_tensor(blocks[1], short)]
-        with pytest.raises(DimensionMismatch, match="network emits 4 positions, block has 3"):
-            train(blocks, NET4, TrainConfig(epochs=1), CFG4, tensors=tensors)
 
     def test_uses_prebuilt_tensors(self):
         netcfg = NetworkConfig(input_dim=8, hidden_size=4, output_dim=4)
