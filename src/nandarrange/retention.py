@@ -12,8 +12,11 @@ testable at desk scale; it is not a device model.
 Every per-cell quantity before the noise (saturation, neighbor pull,
 exposure, drift) is a function of the cell's (under, mid, up) level triple
 alone, so each is evaluated once on the 16^3 = 4,096 triples and gathered
-through scoring.triple_index: the only full-size passes are the index, one
-gather, the normal draw and one in-place add.
+through scoring.triple_index. The only full-size arrays are that uint16
+index and each function's result (float64 voltages or exposure, uint8
+read-back levels); the gather, the normal draw, the quantization and the
+bit count walk the block in chunks of scoring._GATHER_CELLS cells, so their
+temporaries stay within about 1 MiB.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from .core import LEVELS, ArchConfig, BlockPattern
 from .errors import DimensionMismatch, InvalidArgument
 from .data_io import GRAY_TABLE
-from .scoring import score_table, triple_index
+from .scoring import _chunks, _gather, score_table, triple_index
 
 BITS_PER_CELL = 4
 # Bits that differ between the Gray codes of levels a and b, at index a << 4 | b.
@@ -40,9 +43,6 @@ _BIT_FLIPS = np.array(
 # of that worst case.
 EXPOSURE_THRESHOLD = 0.25
 FULL_EXPOSURE_DRIFT = 15.0
-# Cells per take call in _gather: its intp copy of the index stays within
-# 1 MiB, or one row of the index when a row is longer.
-_GATHER_CELLS = 2**17
 
 
 @dataclass(frozen=True)
@@ -65,19 +65,6 @@ class RetentionConfig:
             raise InvalidArgument(
                 "coupling * time * (1 + saturation_gain) * 15, the largest drift, overflows"
             )
-
-
-def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
-    """out[...] = table.ravel()[index], a bounded slab of rows at a time.
-
-    take converts its whole index to intp first, so one call over the
-    (N-2) x C uint16 index would copy it at 8 bytes a cell. The index is in
-    range by construction; mode="clip" keeps take from buffering a copy of
-    its output.
-    """
-    rows = max(1, _GATHER_CELLS // index.shape[1])
-    for start in range(0, len(index), rows):
-        np.take(table, index[start : start + rows], out=out[start : start + rows], mode="clip")
 
 
 def _exposure_table(cfg: ArchConfig) -> np.ndarray:
@@ -115,7 +102,9 @@ def simulate_retention(
     The drifted level is a function of the cell's level triple alone, so it
     is computed once for each of the 4,096 triples and gathered per cell;
     each entry gets the same float operations, in the same order, as a
-    per-cell evaluation of the formula above.
+    per-cell evaluation of the formula above. The noise is drawn one chunk
+    of cells at a time; each draw continues the same PCG64 stream, so the
+    voltages equal those of one whole-block draw bit for bit.
     """
     index = triple_index(pattern, cfg)
     under, mid, up = np.indices((LEVELS, LEVELS, LEVELS), dtype=np.float64)
@@ -130,10 +119,11 @@ def simulate_retention(
     voltages = np.empty(pattern.cells.shape, dtype=np.float64)
     voltages[[0, -1]] = pattern.cells[[0, -1]]
     _gather(mid + drift, index, voltages[1:-1])
-    del index  # not needed past the gather; the noise draw is a full-size array
     if rcfg.noise_sigma > 0:
         rng = np.random.Generator(np.random.PCG64(rcfg.seed))
-        voltages += rng.normal(0.0, rcfg.noise_sigma, size=voltages.shape)
+        flat = voltages.reshape(-1)
+        for part in _chunks(flat.size):
+            flat[part] += rng.normal(0.0, rcfg.noise_sigma, size=flat[part].size)
     return voltages
 
 
@@ -143,25 +133,38 @@ def read_back(voltages: np.ndarray) -> BlockPattern:
     Infinities clamp like any out-of-range voltage; NaN has no nearest level
     and raises InvalidArgument.
     """
-    levels = np.add(voltages, 0.5, dtype=np.float64)
-    if np.isnan(levels).any():
-        raise InvalidArgument("voltages hold NaN, which has no nearest level")
-    np.floor(levels, out=levels)
-    np.clip(levels, 0, LEVELS - 1, out=levels)
-    return BlockPattern(levels.astype(np.uint8))
+    voltages = np.asarray(voltages)
+    levels = np.empty(voltages.shape, dtype=np.uint8)
+    flat_voltages, flat_levels = voltages.reshape(-1), levels.reshape(-1)
+    for part in _chunks(flat_levels.size):
+        chunk = np.add(flat_voltages[part], 0.5, dtype=np.float64)
+        if np.isnan(chunk).any():
+            raise InvalidArgument("voltages hold NaN, which has no nearest level")
+        np.floor(chunk, out=chunk)
+        np.clip(chunk, 0, LEVELS - 1, out=chunk)
+        flat_levels[part] = chunk
+    return BlockPattern(levels)
 
 
 def measure_ber(original: BlockPattern, readback: BlockPattern) -> float:
     """Fraction of differing Gray-coded bits between two patterns of one shape.
 
     Both hold levels 0..15, as every BlockPattern does, so each cell pair
-    indexes the 256-entry bit-flip table directly.
+    indexes the 256-entry bit-flip table directly. Patterns without cells
+    have no bits to compare and raise DimensionMismatch.
     """
     if original.cells.shape != readback.cells.shape:
         raise DimensionMismatch(
             f"patterns differ in shape: {original.cells.shape} vs {readback.cells.shape}"
         )
-    index = original.cells.astype(np.uint8, copy=False) << 4
-    index |= readback.cells.astype(np.uint8, copy=False)
-    flipped = int(_BIT_FLIPS[index].sum())
+    if original.cells.size == 0:
+        raise DimensionMismatch(
+            f"patterns of shape {original.cells.shape} hold no cells, so no bit error rate"
+        )
+    flat_original, flat_readback = original.cells.reshape(-1), readback.cells.reshape(-1)
+    flipped = 0
+    for part in _chunks(flat_original.size):
+        index = flat_original[part].astype(np.uint8) << 4
+        index |= flat_readback[part].astype(np.uint8, copy=False)
+        flipped += int(np.take(_BIT_FLIPS, index).sum())
     return flipped / (BITS_PER_CELL * original.cells.size)

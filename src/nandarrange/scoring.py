@@ -110,13 +110,47 @@ def triple_index(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     return index
 
 
+# Cells per chunk of every whole-block per-cell pass (the gathers here and
+# the noise, quantization and bit count in retention): a chunk's intp copy of
+# the index, or its float64 temporary, stays within 1 MiB.
+_GATHER_CELLS = 2**17
+
+
+def _chunks(size: int):
+    """Slices that walk a flat array of ``size`` cells, _GATHER_CELLS at a time."""
+    return (slice(start, start + _GATHER_CELLS) for start in range(0, size, _GATHER_CELLS))
+
+
+def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """out[...] = table.ravel()[index], one chunk of cells at a time.
+
+    take converts its whole index to intp first, so one call over the
+    (N-2) x C uint16 index would copy it at 8 bytes a cell. The index is in
+    range by construction; mode="clip" keeps take from buffering a copy of
+    its output. ``out`` must be contiguous (reshape raises otherwise), so
+    that the flat chunks write into it.
+    """
+    flat_index = index.reshape(-1)
+    flat_out = out.reshape(-1, copy=False)
+    for part in _chunks(flat_index.size):
+        np.take(table, flat_index[part], out=flat_out[part], mode="clip")
+
+
 def block_score(pattern: BlockPattern, cfg: ArchConfig) -> float:
-    """Total migration score S_T: the sum over the N-2 interior wordline triples."""
+    """Total migration score S_T: the sum over the N-2 interior wordline triples.
+
+    The values are gathered into one (N-2) x C array and summed by a single
+    ``sum``: numpy's pairwise order over that array pins the result's bits,
+    which a chunked sum would change.
+    """
     if pattern.num_wordlines < 3:
         raise TooFewWordlines(
             f"block score needs >= 3 wordlines, got {pattern.num_wordlines}"
         )
-    return float(score_table(cfg).ravel()[triple_index(pattern, cfg)].sum())
+    index = triple_index(pattern, cfg)
+    values = np.empty(index.shape, dtype=np.float64)
+    _gather(score_table(cfg), index, values)
+    return float(values.sum())
 
 
 # Column blocks of the score-tensor build. A block's (N, N, k) float32 buffer

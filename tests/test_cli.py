@@ -391,6 +391,20 @@ class TestSimulate:
         _, out_without, _ = run(["simulate", "--in", str(block)], capsys)
         assert out_with == out_without
 
+    def test_paper_scale_output_is_pinned(self, tmp_path, capsys):
+        # One seeded 16 x 147,456 block (an 18 KiB page), with and without
+        # its SA mapping table. The printed score and BER are pinned: a
+        # change to either is an output change.
+        data = gen_dataset(tmp_path, capsys, blocks=1, wordlines=16, cells=147_456, seed=7)
+        block = str(next(data.glob("*.pdap")))
+        sa_map = str(tmp_path / "sa.pdam")
+        code, _, _ = run(["arrange", "--in", block, "--solver", "sa", "--out-map", sa_map], capsys)
+        assert code == 0
+        _, mapped, _ = run(["simulate", "--in", block, "--map", sa_map], capsys)
+        _, unmapped, _ = run(["simulate", "--in", block], capsys)
+        assert mapped == "score=878817862.6 ber=0.195797\n"
+        assert unmapped == "score=877610198.2 ber=0.195980\n"
+
     def test_non_bijective_map_at_the_format_limit_exits_2_briefly(self, tmp_path, capsys):
         data = gen_dataset(tmp_path, capsys, blocks=1, wordlines=5, cells=8)
         bad = tmp_path / "zeros.pdam"

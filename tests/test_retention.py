@@ -8,6 +8,7 @@ from nandarrange import (
     ArchConfig,
     BlockPattern,
     RetentionConfig,
+    block_score,
     gen_random_block,
     measure_ber,
     read_back,
@@ -62,6 +63,12 @@ def _reference_simulate_retention(pattern, cfg, rcfg):
         rng = np.random.Generator(np.random.PCG64(rcfg.seed))
         voltages = voltages + rng.normal(0.0, rcfg.noise_sigma, size=(n, pattern.cells_per_page))
     return voltages
+
+
+def _reference_read_back(voltages):
+    """Slow reference: rounds the whole block half up in one float64 pass."""
+    levels = np.clip(np.floor(np.asarray(voltages, dtype=np.float64) + 0.5), 0, LEVELS - 1)
+    return levels.astype(np.uint8)
 
 
 def _reference_measure_ber(original, readback):
@@ -152,20 +159,24 @@ class TestSimulateRetention:
 
     def test_memory_is_bounded_at_paper_scale(self, peak_bytes):
         # The per-cell reference holds about ten N x C float64 temporaries
-        # (about 144 MiB here); the table gather needs only the result, the
-        # noise draw and the uint16 triple index.
+        # (about 144 MiB here). The table gather holds only the float64
+        # result and the uint16 triple index; the gather and the noise draw
+        # walk chunks of at most 1 MiB, where a whole-block draw alone would
+        # add N * C * 8 bytes.
         cfg = ArchConfig(num_wordlines=16, cells_per_page=147_456)
+        n, c = cfg.num_wordlines, cfg.cells_per_page
         block = gen_random_block(cfg, seed=5)
-        bound = 3 * cfg.num_wordlines * cfg.cells_per_page * 8
+        bound = 3 * n * c * 8
         peaks = [
             peak_bytes(simulate, block, cfg, RetentionConfig(seed=5))
             for simulate in (simulate_retention, _reference_simulate_retention)
         ]
         assert peaks[0] < bound < peaks[1]
+        assert peaks[0] < n * c * 8 + (n - 2) * c * 2 + 2 * 2**20
 
     def test_exposure_gather_does_not_copy_the_index(self, peak_bytes):
         # np.take converts its index to intp; over the whole (N-2) x C uint16
-        # index that copy alone is 15.75 MiB here. Row slabs keep it small.
+        # index that copy alone is 15.75 MiB here. Chunked takes keep it small.
         cfg = ArchConfig(num_wordlines=16, cells_per_page=147_456)
         block = gen_random_block(cfg, seed=6)
         result = cfg.num_wordlines * cfg.cells_per_page * 8
@@ -175,16 +186,24 @@ class TestSimulateRetention:
 
     @pytest.mark.parametrize("slab_cells", [7, 9, 30])
     def test_gather_slabs_do_not_change_values(self, monkeypatch, slab_cells):
-        # One row per slab when a row is longer than the slab (7) or exactly
-        # fills it (9); three rows with a shorter last slab (30).
-        monkeypatch.setattr("nandarrange.retention._GATHER_CELLS", slab_cells)
+        # Chunks that cross rows (7), that fill one row exactly (9), and that
+        # span rows with a shorter last chunk over the 108 cells (30).
+        monkeypatch.setattr("nandarrange.scoring._GATHER_CELLS", slab_cells)
         cfg = ArchConfig(num_wordlines=12, cells_per_page=9)
         block = gen_random_block(cfg, seed=8)
         rcfg = RetentionConfig(seed=8)
+        cells = block.cells
+        expected_score = float(score_table(cfg)[cells[:-2], cells[1:-1], cells[2:]].sum())
+        assert block_score(block, cfg).hex() == expected_score.hex()
         assert np.array_equal(cell_exposure(block, cfg), _reference_cell_exposure(block, cfg))
-        assert np.array_equal(
-            simulate_retention(block, cfg, rcfg), _reference_simulate_retention(block, cfg, rcfg)
-        )
+        voltages = simulate_retention(block, cfg, rcfg)
+        assert np.array_equal(voltages, _reference_simulate_retention(block, cfg, rcfg))
+        readback = read_back(voltages)
+        assert np.array_equal(readback.cells, _reference_read_back(voltages))
+        assert measure_ber(block, readback) == _reference_measure_ber(block, readback)
+        voltages[-1, -1] = np.nan  # in the last chunk at every chunk size
+        with pytest.raises(InvalidArgument):
+            read_back(voltages)
 
     def test_deterministic_given_seed(self):
         cfg = ArchConfig(num_wordlines=4, cells_per_page=8)
@@ -216,6 +235,14 @@ class TestReadBack:
         with pytest.raises(InvalidArgument):
             read_back(np.array([[1.0], [np.nan], [1.0]]))
 
+    def test_memory_holds_only_the_levels_at_paper_scale(self, peak_bytes):
+        # The uint8 levels and BlockPattern's own copy of them are the only
+        # full-size arrays; a whole-block float64 pass would add N * C * 8.
+        n, c = 16, 147_456
+        voltages = np.random.default_rng(7).normal(7.5, 5.0, size=(n, c))
+        assert peak_bytes(read_back, voltages) < 2 * n * c + 2 * 2**20
+        assert np.array_equal(read_back(voltages).cells, _reference_read_back(voltages))
+
 
 class TestMeasureBer:
     def test_identical_patterns(self):
@@ -239,6 +266,20 @@ class TestMeasureBer:
         b = BlockPattern(np.zeros((3, 3), dtype=np.uint8))
         with pytest.raises(DimensionMismatch):
             measure_ber(a, b)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+    def test_patterns_without_cells_are_rejected(self, shape):
+        empty = BlockPattern(np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(DimensionMismatch, match="no cells"):
+            measure_ber(empty, empty)
+
+    def test_memory_is_bounded_at_paper_scale(self, peak_bytes):
+        # Chunks of at most 1 MiB; a whole-block pass would hold N * C bytes
+        # of index and as many of gathered flips.
+        cfg = ArchConfig(num_wordlines=16, cells_per_page=147_456)
+        a, b = gen_random_block(cfg, seed=11), gen_random_block(cfg, seed=12)
+        assert peak_bytes(measure_ber, a, b) < 2 * 2**20
+        assert measure_ber(a, b) == _reference_measure_ber(a, b)
 
     @pytest.mark.parametrize("level", [-1, 16, 255])
     @pytest.mark.parametrize("side", [0, 1])
