@@ -127,11 +127,13 @@ def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
     take converts its whole index to intp first, so one call over the
     (N-2) x C uint16 index would copy it at 8 bytes a cell. The index is in
     range by construction; mode="clip" keeps take from buffering a copy of
-    its output. ``out`` must be contiguous (reshape raises otherwise), so
-    that the flat chunks write into it.
+    its output. ``out`` must be C-contiguous, so that its flat reshape is a
+    view that the chunks write into; any other ``out`` raises ValueError.
     """
+    if not out.flags.c_contiguous:
+        raise ValueError("gather output must be C-contiguous")
     flat_index = index.reshape(-1)
-    flat_out = out.reshape(-1, copy=False)
+    flat_out = out.reshape(-1)
     for part in _chunks(flat_index.size):
         np.take(table, flat_index[part], out=flat_out[part], mode="clip")
 

@@ -20,6 +20,7 @@ from nandarrange.scoring import (
     _BLOCK_ELEMENTS,
     _EXACT_BLOCK_CELLS,
     _block_width,
+    _gather,
     score_table,
     tensor_build_count,
 )
@@ -185,6 +186,20 @@ class TestBlockScore:
     def test_rejects_short_blocks(self):
         with pytest.raises(TooFewWordlines):
             block_score(BlockPattern(np.zeros((2, 1), dtype=np.uint8)), CFG)
+
+
+def test_gather_refuses_a_non_contiguous_output():
+    # A flat reshape of a strided output would be a copy, so the gathered
+    # values would never reach it.
+    table = np.arange(16**3, dtype=np.float64).reshape(16, 16, 16)
+    index = np.arange(12, dtype=np.uint16).reshape(3, 4)
+    out = np.zeros((3, 8))[:, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _gather(table, index, out)
+    assert not out.any()
+    contiguous = np.empty((3, 4))
+    _gather(table, index, contiguous)
+    assert np.array_equal(contiguous, table.ravel()[index])
 
 
 class TestScoreTensor:
