@@ -74,42 +74,45 @@ def _arch_for(blocks: list[BlockPattern], document: dict | None = None) -> ArchC
     for b in blocks[1:]:
         if (b.num_wordlines, b.cells_per_page) != (n, c):
             raise InvalidArgument("blocks in the dataset have inconsistent dimensions")
-    return _section(document or {}, "arch", ArchConfig, num_wordlines=n, cells_per_page=c)
+    return _section(document or {}, "arch", num_wordlines=n, cells_per_page=c)
 
 
 # ---------------------------------------------------------------------------
-# Run-config document (strict JSON: unknown keys anywhere are errors).
+# Run-config document (strict JSON): one section per config dataclass.
 
-_CONFIG_SCHEMA = {
-    "arch": {"num_wordlines", "cells_per_page", "k1", "k2", "alpha"},
-    "network": {"hidden_size", "num_linear_layers"},
-    "train": {
-        "epochs",
-        "learning_rate",
-        "seed",
-        "beta1",
-        "beta2",
-        "gradient_clip_norm",
-    },
-    "anneal": {"initial_temperature", "cooling_factor", "iterations", "seed"},
-    "retention": {"coupling", "time", "saturation_gain", "noise_sigma", "seed"},
-    "paths": {"data_dir", "model", "out"},
+_SECTIONS = {
+    "arch": ArchConfig,
+    "network": neural.NetworkConfig,
+    "train": neural.TrainConfig,
+    "retention": RetentionConfig,
 }
 
 
 def parse_run_config(document: dict) -> dict:
-    """Validate a run-config mapping against the documented key set."""
+    """Check every section of a run-config mapping: its keys are fields of
+    its dataclass, and each value has the JSON type the field's annotation
+    names. An int field takes an integer, a float field any number up to the
+    largest float, ``float | None`` also null; a bool is never a number."""
     if not isinstance(document, dict):
         raise InvalidArgument("run config must be a JSON object")
-    unknown = set(document) - set(_CONFIG_SCHEMA)
-    if unknown:
-        raise InvalidArgument(f"unknown config section(s): {sorted(unknown)}")
-    for section, content in document.items():
-        if not isinstance(content, dict):
-            raise InvalidArgument(f"config section '{section}' must be an object")
-        bad = set(content) - _CONFIG_SCHEMA[section]
-        if bad:
-            raise InvalidArgument(f"unknown key(s) in '{section}': {sorted(bad)}")
+    for name, values in document.items():
+        if name not in _SECTIONS:
+            raise InvalidArgument(f"unknown config section '{name}'")
+        if not isinstance(values, dict):
+            raise InvalidArgument(f"config section '{name}' must be an object")
+        hints = typing.get_type_hints(_SECTIONS[name])
+        for key, value in values.items():
+            if key not in hints:
+                raise InvalidArgument(f"unknown key '{key}' in '{name}'")
+            hint = hints[key]
+            accepted = set(typing.get_args(hint)) or {hint}
+            if float in accepted:
+                accepted.add(int)
+            if type(value) not in accepted:
+                hint_name = getattr(hint, "__name__", hint)
+                raise InvalidArgument(f"{name}.{key} must be {hint_name}, got {value!r}")
+            if float in accepted and type(value) is int and abs(value) > sys.float_info.max:
+                raise InvalidArgument(f"{name}.{key} is an integer beyond the float range")
     return document
 
 
@@ -121,30 +124,15 @@ def _read_config_file(path: str | None) -> dict:
     return parse_run_config(document)
 
 
-def _section(document: dict, name: str, cls, **fixed):
-    """Build the dataclass ``cls`` from run-config section ``name``.
-
-    Each value must have the JSON type its field annotation names: an int
-    field takes an integer, a float field any number up to the largest float,
-    ``float | None`` also null; a bool is never a number. ``fixed`` holds
-    fields the data decides; the section may repeat them only with the same
-    value.
-    """
+def _section(document: dict, name: str, **fixed):
+    """Build the dataclass of checked run-config section ``name``. ``fixed``
+    holds fields the data decides; the section may repeat them only with the
+    same value."""
     values = document.get(name, {})
-    hints = typing.get_type_hints(cls)
-    for key, value in values.items():
-        hint = hints[key]
-        accepted = set(typing.get_args(hint)) or {hint}
-        if float in accepted:
-            accepted.add(int)
-        if type(value) not in accepted:
-            hint_name = getattr(hint, "__name__", hint)
-            raise InvalidArgument(f"{name}.{key} must be {hint_name}, got {value!r}")
-        if float in accepted and type(value) is int and abs(value) > sys.float_info.max:
-            raise InvalidArgument(f"{name}.{key} is an integer beyond the float range")
-        if key in fixed and value != fixed[key]:
-            raise InvalidArgument(f"{name}.{key}={value!r} disagrees with the data's {fixed[key]}")
-    return cls(**{**values, **fixed})
+    for key, value in fixed.items():
+        if key in values and values[key] != value:
+            raise InvalidArgument(f"{name}.{key}={values[key]!r} disagrees with the data's {value}")
+    return _SECTIONS[name](**{**values, **fixed})
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +235,9 @@ def cmd_train(args) -> int:
     config = _read_config_file(args.config)
     _, blocks = _load_blocks(args.data_dir)
     cfg = _arch_for(blocks, config)
-    traincfg = _section(config, "train", neural.TrainConfig)
+    traincfg = _section(config, "train")
     config.setdefault("network", {}).setdefault("hidden_size", 16)  # the CLI's default width
-    netcfg = _section(
-        config, "network", neural.NetworkConfig,
-        input_dim=cfg.cells_per_page, output_dim=cfg.num_wordlines,
-    )
+    netcfg = _section(config, "network", input_dim=cfg.cells_per_page, output_dim=cfg.num_wordlines)
     train_blocks, test_blocks = data_io.split_dataset(blocks, traincfg.seed)
     tensors = [scoring.build_score_tensor(block, cfg) for block in train_blocks]
 
@@ -290,7 +275,7 @@ def cmd_simulate(args) -> int:
         with _reading(f"mapping {args.map}"):
             table = data_io.load_mapping_table(args.map)
         pattern = apply_permutation(pattern, table.as_permutation())
-    rcfg = _section(_read_config_file(args.retention_config), "retention", RetentionConfig)
+    rcfg = _section(_read_config_file(args.retention_config), "retention")
     if args.seed is not None:
         rcfg = replace(rcfg, seed=args.seed)
     score = scoring.block_score(pattern, cfg)
@@ -302,9 +287,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     requested = [s.strip() for s in args.solvers.split(",") if s.strip()]
-    for name in requested:
-        if name not in SOLVERS:
-            raise InvalidArgument(f"unknown solver '{name}' (choose from {', '.join(SOLVERS)})")
+    if not requested or set(requested) - set(SOLVERS):
+        raise InvalidArgument(f"--solvers {args.solvers!r}: choose from {', '.join(SOLVERS)}")
     _, blocks = _load_blocks(args.data_dir)
     cfg = _arch_for(blocks)
     model = _load_model(args.model)

@@ -25,8 +25,8 @@ sigmoid(z) = 1/2 + tanh(z/2)/2 for the input, forget and output gates.
 Training runs in one workspace per run (``_Workspace``): every array a
 forward-and-backward step writes, the gradient vector and the per-step row
 views are allocated once, and each step and its in-place Adam update write
-into them. The public forward and backward functions run the same code on a
-fresh workspace per call.
+into them. ``backward`` runs the same code on a fresh workspace per call, and
+inference on a fresh ``_Forward``, the workspace's forward arrays alone.
 """
 
 from __future__ import annotations
@@ -87,6 +87,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise InvalidArgument(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise InvalidArgument(f"seed must be non-negative, got {self.seed}")
         if not self.learning_rate > 0:
             raise InvalidArgument("learning_rate must be positive")
         for name in ("beta1", "beta2"):
@@ -150,19 +152,13 @@ def init_params(netcfg: NetworkConfig, seed: int | np.random.Generator = 0) -> N
     return params
 
 
-class _Workspace:
-    """Every array one forward-and-backward pass over n steps writes.
-
-    ``train`` builds one per run and every step writes into it; the public
-    forward and backward functions build a fresh one per call. The row views
-    each loop walks are built here once, as tuples, so a step allocates no
-    array and builds no view. The gradient lands in ``grad``, named views
-    into the workspace's own flat vector in checkpoint order.
-    """
+class _Forward:
+    """Every array an inference pass over n steps writes: LSTM states, gates
+    and the loop's row views, then the head's outputs. ``lstm_forward`` and
+    ``head_forward`` build one per call."""
 
     def __init__(self, netcfg: NetworkConfig, n: int):
         h, out = netcfg.hidden_size, netcfg.output_dim
-        m = max(n - 2, 0)  # consecutive position triples
 
         # LSTM forward. sigmoid(z) = 1/2 + tanh(z/2)/2 for the input, forget
         # and output gates; the cell candidate is a plain tanh. Row 0 of hs
@@ -188,10 +184,26 @@ class _Workspace:
         ))
 
         # Head: the ReLU output of every layer but the last, then the logits,
-        # softmaxed in place into p. inputs[k] is the input of head layer k.
+        # softmaxed in place into p.
         self.relu = [np.empty((n, h)) for _ in range(netcfg.num_linear_layers - 1)]
-        self.inputs = [self.hidden, *self.relu]
         self.p = np.empty((n, out))
+
+
+class _Workspace(_Forward):
+    """Every array one forward-and-backward pass over n steps writes.
+
+    ``train`` builds one per run and every step writes into it; ``backward``
+    builds a fresh one per call. The row views each loop walks are built here
+    once, as tuples, so a step allocates no array and builds no view. The
+    gradient lands in ``grad``, named views into the workspace's own flat
+    vector in checkpoint order.
+    """
+
+    def __init__(self, netcfg: NetworkConfig, n: int):
+        super().__init__(netcfg, n)
+        h, out = netcfg.hidden_size, netcfg.output_dim
+        m = max(n - 2, 0)  # consecutive position triples
+        self.inputs = [self.hidden, *self.relu]  # inputs[k] is the input of head layer k
 
         # Non-repetition transform.
         self.psg = np.empty((n, out))
@@ -245,7 +257,7 @@ class _Workspace:
         self.grad = NetworkParams(np.zeros(sum(math.prod(s) for s in shapes)), shapes)
 
 
-def _lstm_into(ws: _Workspace, x: np.ndarray, params: NetworkParams) -> None:
+def _lstm_into(ws: _Forward, x: np.ndarray, params: NetworkParams) -> None:
     """Run the recurrence over scaled levels x (N, C) into the workspace.
 
     Fills hs and cs (row 0 the zero initial state), tanh of the cell states
@@ -284,7 +296,7 @@ def lstm_forward(
 ) -> np.ndarray:
     """Hidden-state sequence (N, hidden_size); initial hidden and cell state are zero."""
     x = _scaled_levels(pattern, netcfg)
-    ws = _Workspace(netcfg, pattern.num_wordlines)
+    ws = _Forward(netcfg, pattern.num_wordlines)
     _lstm_into(ws, x, params)
     return ws.hidden
 
@@ -297,7 +309,7 @@ def _softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def _head_into(ws: _Workspace, hidden: np.ndarray, params: NetworkParams) -> np.ndarray:
+def _head_into(ws: _Forward, hidden: np.ndarray, params: NetworkParams) -> np.ndarray:
     """Softmax probabilities of the head on ``hidden`` (N, H), written to ws.p;
     the ReLU outputs of the inner layers go to ws.relu."""
     layer_in = hidden
@@ -320,7 +332,7 @@ def head_forward(
         raise DimensionMismatch(
             f"hidden states must be (*, {netcfg.hidden_size}), got {hidden.shape}"
         )
-    return _head_into(_Workspace(netcfg, hidden.shape[0]), hidden, params)
+    return _head_into(_Forward(netcfg, hidden.shape[0]), hidden, params)
 
 
 def _seqgen_steps(p: np.ndarray, prior: np.ndarray, psg: np.ndarray) -> tuple:
@@ -338,14 +350,6 @@ def _seqgen_into(steps: tuple, scratch: np.ndarray) -> None:
             np.multiply(prior_i, scratch, out=prior_next)
 
 
-def _seqgen_with_prior(p: np.ndarray):
-    psg = np.empty_like(p)
-    prior = np.empty_like(p)
-    prior[0] = 1.0
-    _seqgen_into(_seqgen_steps(p, prior, psg), np.empty(p.shape[1]))
-    return psg, prior
-
-
 def seqgen_transform(p: np.ndarray) -> np.ndarray:
     """Non-repetition transform: row 0 passes through, later rows are scaled by
     the probability that no earlier position already generated that page.
@@ -356,7 +360,10 @@ def seqgen_transform(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 2:
         raise DimensionMismatch(f"probability matrix must be 2-D, got shape {p.shape}")
-    psg, _ = _seqgen_with_prior(p)
+    psg = np.empty_like(p)
+    prior = np.empty_like(p)
+    prior[0] = 1.0
+    _seqgen_into(_seqgen_steps(p, prior, psg), np.empty(p.shape[1]))
     return psg
 
 

@@ -58,6 +58,8 @@ class RetentionConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise InvalidArgument(f"{name} must be finite and non-negative, got {value}")
+        if self.seed < 0:
+            raise InvalidArgument(f"seed must be non-negative, got {self.seed}")
         # The largest drift any cell can take must stay finite, or inf * 0 makes NaN.
         if not math.isfinite(
             self.coupling * self.time * (1 + self.saturation_gain) * FULL_EXPOSURE_DRIFT

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -318,6 +320,12 @@ class TestConfigErrors:
             ("simulate", {"retention": {"coupling": 10**400}}),
             ("train", {"train": {"learning_rate": 10**400}}),
             ("train", {"arch": {"alpha": 1e-305}}),
+            ("train", {"anneal": {"iterations": 5}}),
+            ("train", {"paths": {"out": "x"}}),
+            ("train", {"network": {"input_dim": 9}}),
+            ("train", {"retention": {"coupling": "x"}}),
+            ("train", {"train": {"seed": -1}}),
+            ("simulate", {"retention": {"seed": -1}}),
         ],
     )
     def test_bad_value_exits_1_with_typed_error(self, tmp_path, capsys, command, document):
@@ -357,7 +365,7 @@ class TestConfigErrors:
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
             "arch": {"num_wordlines": 4, "cells_per_page": 8},
-            "network": {"hidden_size": 2},
+            "network": {"input_dim": 8, "hidden_size": 2, "output_dim": 4},
             "train": {"epochs": 1, "learning_rate": 1, "gradient_clip_norm": None},
         }))
         code, _, _ = run(
@@ -517,10 +525,13 @@ class TestCompare:
         assert "CodecError" in err
         assert not csv_path.exists()
 
-    def test_unknown_solver_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("names", ["magic", "", ",", " , "])
+    def test_unknown_solver_rejected(self, tmp_path, capsys, names):
         data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=5, cells=4)
-        code, _, _ = run(["compare", "--data-dir", str(data), "--solvers", "magic"], capsys)
+        code, out, err = run(["compare", "--data-dir", str(data), "--solvers", names], capsys)
         assert code == 1
+        assert out == ""
+        assert err.startswith("error: InvalidArgument: ") and err.count("\n") == 1
 
 
 class TestRunConfig:
@@ -540,7 +551,75 @@ class TestRunConfig:
             parse_run_config({"train": 5})
 
 
+@pytest.mark.parametrize("command", ["gen", "split", "simulate"])
+def test_negative_seed_exits_1_without_traceback(tmp_path, capsys, command):
+    data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=8)
+    argv = {
+        "gen": ["gen", "--out", str(tmp_path / "neg"), "--blocks", "1"],
+        "split": ["split", "--data-dir", str(data)],
+        "simulate": ["simulate", "--in", str(next(data.glob("*.pdap")))],
+    }[command]
+    code, out, err = run(argv + ["--seed", "-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: InvalidArgument: seed must be non-negative, got -1\n"
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as info:
         main(["arrange"])  # missing required flags
     assert info.value.code == 1
+
+
+GOLDEN_DESK_DIGEST = "decf456afd590a6a1dca365e6486b745e89b2e5b2bf8e9f23228066c96be85ad"
+
+
+def test_golden_desk_run_is_pinned(tmp_path, capsys):
+    """One desk workflow through the CLI, hashed over every output byte.
+
+    gen 20 blocks (N=8, C=32), split, train 3 epochs from a run config,
+    compare all five solvers, arrange each held-out block with the LSTM, and
+    simulate one block with and without its SA map. The digest covers every
+    printed line and every file the run leaves, with the wall-time fields
+    (``elapsed=``, ``time_s``, ``wall_time_s``) and the tmp path taken out.
+    Like ``test_short_desk_run_is_pinned``, it was recorded on one host's
+    numpy and BLAS (numpy 2.4, OpenBLAS, x86-64); it changes only with an
+    intended output change.
+    """
+    data, model = tmp_path / "data", tmp_path / "model.pdaw"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "network": {"hidden_size": 16},
+        "train": {"epochs": 3, "seed": 1},
+        "retention": {"coupling": 0.1, "seed": 3},
+    }))
+    printed = []
+
+    def cli(*argv):
+        code, out, err = run([str(a) for a in argv], capsys)
+        assert (code, err) == (0, "")
+        printed.append(re.sub(r"elapsed=\S+", "elapsed=", out.replace(str(tmp_path), "<tmp>")))
+
+    cli("gen", "--out", data, "--blocks", 20, "--wordlines", 8, "--cells", 32, "--seed", 11)
+    cli("split", "--data-dir", data, "--seed", 1)
+    cli("train", "--data-dir", data, "--config", config, "--out-model", model)
+    report = tmp_path / "report.csv"
+    cli("compare", "--data-dir", data, "--solvers", "exhaustive,random,greedy,sa,lstm",
+        "--model", model, "--iterations", 200, "--seed", 2, "--csv", report)
+    printed[-1] = "\n".join(line[:-10] for line in printed[-1].splitlines())
+    report.write_text("\n".join(line.rsplit(",", 1)[0] for line in report.read_text().splitlines()))
+    held_out = json.loads((data / "split_manifest.json").read_text())["test"]
+    for name in held_out:
+        cli("arrange", "--in", data / name, "--solver", "lstm", "--model", model,
+            "--out-map", tmp_path / f"{name}.pdam")
+    block = data / held_out[0]
+    cli("arrange", "--in", block, "--solver", "sa", "--seed", 4, "--out-map", tmp_path / "sa.pdam")
+    cli("simulate", "--in", block, "--retention-config", config)
+    cli("simulate", "--in", block, "--retention-config", config, "--map", tmp_path / "sa.pdam")
+
+    digest = hashlib.sha256()
+    for text in printed:
+        digest.update(text.encode() + b"\0")
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        digest.update(str(path.relative_to(tmp_path)).encode() + b"\0" + path.read_bytes() + b"\0")
+    assert digest.hexdigest() == GOLDEN_DESK_DIGEST

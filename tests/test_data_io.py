@@ -23,6 +23,7 @@ from nandarrange.data_io import GENERATOR_ID, MappingTable
 from nandarrange.errors import (
     ArrangeError,
     BadMagic,
+    InvalidArgument,
     LevelOutOfRange,
     NotABijection,
     TooFewBlocks,
@@ -76,6 +77,10 @@ class TestGenRandomBlock:
         freqs = counts / block.cells.size
         assert np.all(np.abs(freqs - 1 / 16) < 0.005)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidArgument, match="seed must be non-negative, got -1"):
+            gen_random_block(ArchConfig(num_wordlines=4, cells_per_page=2), seed=-1)
+
 
 class TestSplit:
     def test_ten_blocks_split_seven_three(self):
@@ -98,6 +103,10 @@ class TestSplit:
     def test_too_few_blocks(self):
         with pytest.raises(TooFewBlocks):
             split_indices(9, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidArgument, match="seed must be non-negative, got -1"):
+            split_indices(10, seed=-1)
 
 
 class TestMappingTable:

@@ -45,7 +45,6 @@ from nandarrange.neural import (
     LEVEL_SCALE,
     NetworkParams,
     _param_shapes,
-    _seqgen_with_prior,
     _softmax_rows,
 )
 from nandarrange.scoring import tensor_build_count
@@ -133,7 +132,8 @@ def _reference_backward(pattern, params, netcfg, score_tensor):
         a1 = np.maximum(z1, 0.0)
         logits = a1 @ params.head_w[1].T + params.head_b[1]
     p = _softmax_rows(logits)
-    psg, prior = _seqgen_with_prior(p)
+    psg = seqgen_transform(p)
+    prior = np.vstack([np.ones(n), np.cumprod(1.0 - psg[:-1], axis=0)])
 
     g_psg = np.zeros_like(psg)
     s_m = 0.0
@@ -525,6 +525,10 @@ class TestTrain:
     def test_epochs_zero_rejected(self):
         with pytest.raises(InvalidArgument):
             TrainConfig(epochs=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidArgument, match="seed must be non-negative, got -1"):
+            TrainConfig(seed=-1)
 
     def test_one_epoch_changes_params_and_history_length(self):
         netcfg = NetworkConfig(input_dim=8, hidden_size=4, output_dim=4)

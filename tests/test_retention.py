@@ -82,6 +82,8 @@ def _reference_measure_ber(original, readback):
 def test_config_rejects_negative_fields():
     with pytest.raises(InvalidArgument):
         RetentionConfig(coupling=-0.1)
+    with pytest.raises(InvalidArgument, match="seed must be non-negative, got -1"):
+        RetentionConfig(seed=-1)
 
 
 @pytest.mark.parametrize("field", ["coupling", "time", "saturation_gain", "noise_sigma"])
