@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data_io, neural, scoring, solvers
-from .core import ArchConfig, BlockPattern, apply_permutation
+from .core import ArchConfig, BlockPattern, apply_permutation, check_seed
 from .errors import ArrangeError, InvalidArgument, NonFiniteLoss
 from .retention import RetentionConfig, measure_ber, read_back, simulate_retention
 
@@ -142,6 +142,7 @@ def cmd_gen(args) -> int:
     if args.blocks < 1:
         raise InvalidArgument(f"--blocks must be positive, got {args.blocks}")
     cfg = ArchConfig(num_wordlines=args.wordlines, cells_per_page=args.cells)
+    check_seed(args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {

@@ -24,6 +24,12 @@ LEVELS = 16
 ERASED = 0
 
 
+def check_seed(seed: int) -> None:
+    """Raise InvalidArgument unless seed >= 0, the range every seeded stream takes."""
+    if seed < 0:
+        raise InvalidArgument(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class ArchConfig:
     """Block geometry plus the lateral-coupling score coefficients.

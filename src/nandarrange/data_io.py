@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import LEVELS, ArchConfig, BlockPattern, Permutation
+from .core import LEVELS, ArchConfig, BlockPattern, Permutation, check_seed
 from .errors import (
     BadMagic,
     InvalidArgument,
@@ -61,8 +61,7 @@ def gray_decode(code: int) -> int:
 
 def gen_random_block(cfg: ArchConfig, seed: int) -> BlockPattern:
     """Uniform i.i.d. levels from a seeded PCG64 stream (see GENERATOR_ID)."""
-    if seed < 0:
-        raise InvalidArgument(f"seed must be non-negative, got {seed}")
+    check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     cells = rng.integers(0, LEVELS, size=(cfg.num_wordlines, cfg.cells_per_page), dtype=np.uint8)
     return BlockPattern(cells)
@@ -72,8 +71,7 @@ def split_indices(count: int, seed: int) -> tuple[list[int], list[int]]:
     """Seeded shuffle of 0..count-1 followed by a 70/30 cut (half-up rounding)."""
     if count < 10:
         raise TooFewBlocks(f"need at least 10 blocks to split, got {count}")
-    if seed < 0:
-        raise InvalidArgument(f"seed must be non-negative, got {seed}")
+    check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(count)
     n_train = int(np.floor(0.7 * count + 0.5))

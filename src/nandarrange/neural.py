@@ -25,8 +25,10 @@ sigmoid(z) = 1/2 + tanh(z/2)/2 for the input, forget and output gates.
 Training runs in one workspace per run (``_Workspace``): every array a
 forward-and-backward step writes, the gradient vector and the per-step row
 views are allocated once, and each step and its in-place Adam update write
-into them. ``backward`` runs the same code on a fresh workspace per call, and
-inference on a fresh ``_Forward``, the workspace's forward arrays alone.
+into them. ``backward`` runs the same code on a fresh workspace per call.
+Inference allocates only what it writes: ``lstm_forward`` a fresh
+``_Forward`` (the workspace's LSTM arrays), ``head_forward`` the head's
+outputs from ``_head_arrays``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ArchConfig, BlockPattern, Permutation
+from .core import ArchConfig, BlockPattern, Permutation, check_seed
 from .data_io import pack_header, unpack_header
 from .errors import (
     CodecError,
@@ -87,8 +89,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise InvalidArgument(f"epochs must be >= 1, got {self.epochs}")
-        if self.seed < 0:
-            raise InvalidArgument(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
         if not self.learning_rate > 0:
             raise InvalidArgument("learning_rate must be positive")
         for name in ("beta1", "beta2"):
@@ -153,12 +154,11 @@ def init_params(netcfg: NetworkConfig, seed: int | np.random.Generator = 0) -> N
 
 
 class _Forward:
-    """Every array an inference pass over n steps writes: LSTM states, gates
-    and the loop's row views, then the head's outputs. ``lstm_forward`` and
-    ``head_forward`` build one per call."""
+    """Every array the LSTM's forward pass over n steps writes: states, gates
+    and the loop's row views. ``lstm_forward`` builds one per call."""
 
     def __init__(self, netcfg: NetworkConfig, n: int):
-        h, out = netcfg.hidden_size, netcfg.output_dim
+        h = netcfg.hidden_size
 
         # LSTM forward. sigmoid(z) = 1/2 + tanh(z/2)/2 for the input, forget
         # and output gates; the cell candidate is a plain tanh. Row 0 of hs
@@ -183,10 +183,12 @@ class _Forward:
             self.gi, self.gf, self.gg, self.go, self.tanh_c,
         ))
 
-        # Head: the ReLU output of every layer but the last, then the logits,
-        # softmaxed in place into p.
-        self.relu = [np.empty((n, h)) for _ in range(netcfg.num_linear_layers - 1)]
-        self.p = np.empty((n, out))
+
+def _head_arrays(netcfg: NetworkConfig, n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """What the head writes over n rows: the ReLU output of every layer but
+    the last, then p, the logits softmaxed in place."""
+    relu = [np.empty((n, netcfg.hidden_size)) for _ in range(netcfg.num_linear_layers - 1)]
+    return relu, np.empty((n, netcfg.output_dim))
 
 
 class _Workspace(_Forward):
@@ -203,6 +205,7 @@ class _Workspace(_Forward):
         super().__init__(netcfg, n)
         h, out = netcfg.hidden_size, netcfg.output_dim
         m = max(n - 2, 0)  # consecutive position triples
+        self.relu, self.p = _head_arrays(netcfg, n)
         self.inputs = [self.hidden, *self.relu]  # inputs[k] is the input of head layer k
 
         # Non-repetition transform.
@@ -309,15 +312,17 @@ def _softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def _head_into(ws: _Forward, hidden: np.ndarray, params: NetworkParams) -> np.ndarray:
-    """Softmax probabilities of the head on ``hidden`` (N, H), written to ws.p;
-    the ReLU outputs of the inner layers go to ws.relu."""
+def _head_into(
+    relu: list[np.ndarray], p: np.ndarray, hidden: np.ndarray, params: NetworkParams
+) -> np.ndarray:
+    """Softmax probabilities of the head on ``hidden`` (N, H), written to p;
+    the ReLU outputs of the inner layers go to relu."""
     layer_in = hidden
-    for w, b, relu in zip(params.head_w, params.head_b, ws.relu):
-        np.matmul(layer_in, w.T, out=relu)
-        relu += b
-        layer_in = np.maximum(relu, 0.0, out=relu)
-    logits = np.matmul(layer_in, params.head_w[-1].T, out=ws.p)
+    for w, b, out in zip(params.head_w, params.head_b, relu):
+        np.matmul(layer_in, w.T, out=out)
+        out += b
+        layer_in = np.maximum(out, 0.0, out=out)
+    logits = np.matmul(layer_in, params.head_w[-1].T, out=p)
     logits += params.head_b[-1]
     return _softmax_rows(logits, out=logits)
 
@@ -332,7 +337,7 @@ def head_forward(
         raise DimensionMismatch(
             f"hidden states must be (*, {netcfg.hidden_size}), got {hidden.shape}"
         )
-    return _head_into(_Forward(netcfg, hidden.shape[0]), hidden, params)
+    return _head_into(*_head_arrays(netcfg, hidden.shape[0]), hidden, params)
 
 
 def _seqgen_steps(p: np.ndarray, prior: np.ndarray, psg: np.ndarray) -> tuple:
@@ -414,7 +419,7 @@ def _backward_into(
     (N, N*N) rows and ``s_flat_t`` that matrix's transpose. See ``backward``.
     """
     _lstm_into(ws, x, params)
-    p = _head_into(ws, ws.hidden, params)
+    p = _head_into(ws.relu, ws.p, ws.hidden, params)
     _seqgen_into(ws.seqgen_steps, ws.vec_out)
     psg, prior, g_psg, grad = ws.psg, ws.prior, ws.g_psg, ws.grad
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LEVELS, ArchConfig, BlockPattern
+from .core import LEVELS, ArchConfig, BlockPattern, check_seed
 from .errors import DimensionMismatch, InvalidArgument
 from .data_io import GRAY_TABLE
 from .scoring import _chunks, _gather, score_table, triple_index
@@ -58,8 +58,7 @@ class RetentionConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise InvalidArgument(f"{name} must be finite and non-negative, got {value}")
-        if self.seed < 0:
-            raise InvalidArgument(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
         # The largest drift any cell can take must stay finite, or inf * 0 makes NaN.
         if not math.isfinite(
             self.coupling * self.time * (1 + self.saturation_gain) * FULL_EXPOSURE_DRIFT

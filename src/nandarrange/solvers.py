@@ -8,22 +8,25 @@ reported score from the returned permutation with block_score, so results
 can never carry a stale cached value. Every solver is a deterministic
 function of its inputs and seed.
 
-Greedy and exhaustive search are numpy array passes. Greedy advances all
-N(N-1) ordered starting pairs together, one masked argmax per appended page;
-exhaustive search scores every row of a lexicographic N! x N permutation
-array. Ties go to the lowest page index within a greedy step, then to the
-earliest starting pair, and in exhaustive search to the lexicographically
-smallest map: argmax returns the first maximum. Totals accumulate one triple
-per pass, left to right from 0.0, which is the exact float sum that
-_seq_score takes over the same order; a pairwise row sum would round
-differently and could flip a near-tie.
+Greedy and exhaustive search are numpy array passes. Greedy advances the
+N(N-1) ordered starting pairs in chunks of _GREEDY_CHUNK // N pairs (all of
+them at N <= 32), one masked argmax per appended page, so its working memory
+is the tensor plus one chunk; exhaustive search scores every row of a
+lexicographic N! x N permutation array. Ties go to the lowest page index
+within a greedy step, then to the earliest starting pair (a strict > across
+chunks), and in exhaustive search to the lexicographically smallest map:
+argmax returns the first maximum. Totals accumulate one triple per pass,
+left to right from 0.0, which is the exact float sum that _seq_score takes
+over the same order; a pairwise row sum would round differently and could
+flip a near-tie.
 
 Random search and annealing follow one Python RNG stream each, so their draws
-stay sequential. Random search scores its draws in numpy batches through the
-same row sum as exhaustive search, _row_totals. Annealing reads single
-entries through a memoryview of the tensor, only for the at most six triples
-a swap touches, and falls back to the exact full sum only when a rounding
-bound cannot settle a step.
+stay sequential. Random search scores its draws in numpy batches, at most
+2 MiB of indices each, through the same row sum as exhaustive search,
+_row_totals. Annealing reads single entries through a memoryview of the
+tensor, only for the at most six triples a swap touches (listed once per
+position pair before the loop), and falls back to the exact full sum only
+when a rounding bound cannot settle a step.
 """
 
 from __future__ import annotations
@@ -41,8 +44,13 @@ from .errors import InvalidArgument, TooManyWordlines
 from .scoring import block_score, build_score_tensor
 
 EXHAUSTIVE_LIMIT = 9
-# Random search draws this many permutations per numpy scoring pass.
+# Random search draws up to this many permutations per numpy scoring pass,
+# fewer where an int64 index batch would outgrow _RANDOM_BATCH_BYTES (N > 64).
 _RANDOM_BATCH = 4096
+_RANDOM_BATCH_BYTES = 2**21
+# Greedy advances its starting pairs in chunks of this many float64 entries
+# per (pairs, N) array: 1,024 pairs at N=64, all N(N-1) pairs at N <= 32.
+_GREEDY_CHUNK = 2**16
 
 SA_DEFAULT_COOLING = 0.999
 SA_DEFAULT_ITERATIONS = 10_000
@@ -141,10 +149,12 @@ def random_search(
     """Best of `iterations` uniform permutations, each a random.shuffle of the
     last (Fisher-Yates over one Mersenne Twister stream).
 
-    The draws are sequential; they are scored in numpy batches of
-    _RANDOM_BATCH rows (a 2 MiB index array at N=64) by _row_totals, the
-    exact left-to-right sums exhaustive search takes. The first argmax within
-    a batch and a strict > across batches keep the earliest best draw."""
+    The draws are sequential; they are scored in numpy batches by
+    _row_totals, the exact left-to-right sums exhaustive search takes. A
+    batch holds _RANDOM_BATCH rows, or fewer so that its index array stays
+    within _RANDOM_BATCH_BYTES (2 MiB, 4,096 rows at N=64). The first argmax
+    within a batch and a strict > across batches keep the earliest best draw
+    for any batch size."""
     if iterations < 1:
         raise InvalidArgument(f"iterations must be >= 1, got {iterations}")
     started = time.perf_counter()
@@ -152,10 +162,12 @@ def random_search(
     rng = random.Random(seed)
     best_order = None
     best = -math.inf
-    seq = list(range(pattern.num_wordlines))
-    for start in range(0, iterations, _RANDOM_BATCH):
+    n = pattern.num_wordlines
+    batch = min(_RANDOM_BATCH, max(1, _RANDOM_BATCH_BYTES // (8 * n)))
+    seq = list(range(n))
+    for start in range(0, iterations, batch):
         draws = []
-        for _ in range(min(_RANDOM_BATCH, iterations - start)):
+        for _ in range(min(batch, iterations - start)):
             rng.shuffle(seq)
             draws.append(seq[:])
         totals = _row_totals(tensor, np.array(draws))
@@ -167,39 +179,59 @@ def random_search(
 
 
 def _greedy_best(tensor: np.ndarray) -> tuple[list[int], float, int]:
-    """Greedy completions of every ordered starting pair, advanced together.
+    """Greedy completions of every ordered starting pair, advanced together
+    _GREEDY_CHUNK // N pairs at a time.
 
     Returns the best order, its tensor-sum score and the number of
-    completions scored, N(N-1)."""
+    completions scored, N(N-1). The first argmax within a chunk and a strict >
+    across chunks keep the earliest best starting pair for any chunk size."""
     n = tensor.shape[0]
     first, second = np.nonzero(~np.eye(n, dtype=bool))
-    starts = np.arange(len(first))
     rows = tensor.reshape(n * n, n)
-    seqs = np.empty((len(first), n), dtype=np.intp)
-    seqs[:, 0] = first
-    seqs[:, 1] = second
+    size = max(1, _GREEDY_CHUNK // n)
+    best_order, best = None, -math.inf
+    for lo in range(0, len(first), size):
+        seqs, totals = _greedy_chunk(rows, first[lo:lo + size], second[lo:lo + size])
+        top = int(totals.argmax())
+        if totals[top] > best:
+            best_order, best = seqs[:, top].tolist(), float(totals[top])
+    return best_order, best, len(first)
+
+
+def _greedy_chunk(rows: np.ndarray, first: np.ndarray, second: np.ndarray):
+    """Greedy completions of the starting pairs (first[k], second[k]): their
+    page orders, position-major (N, pairs), and their totals."""
+    n = rows.shape[1]
+    m = len(first)
+    seqs = np.empty((n, m), dtype=np.intp)
+    seqs[0] = first
+    seqs[1] = second
     # -inf on placed pages, 0.0 elsewhere: adding it masks without changing
     # any other entry's bits, and is cheaper than a boolean-mask assignment.
-    placed = np.zeros((len(first), n))
-    placed[starts, first] = -np.inf
-    placed[starts, second] = -np.inf
-    totals = np.zeros(len(first))
+    # Entry (k, page) sits at flat index base[k] + page.
+    base = np.arange(0, m * n, n)
+    placed = np.zeros(m * n)
+    placed[base + first] = -np.inf
+    placed[base + second] = -np.inf
+    mask = placed.reshape(m, n)
+    totals = np.zeros(m)
     for t in range(2, n):
-        cand = rows[seqs[:, t - 2] * n + seqs[:, t - 1]]
-        cand += placed
+        cand = rows[seqs[t - 2] * n + seqs[t - 1]]
+        cand += mask
         pick = cand.argmax(axis=1)
-        totals += cand[starts, pick]
-        placed[starts, pick] = -np.inf
-        seqs[:, t] = pick
-    best = int(totals.argmax())
-    return seqs[best].tolist(), float(totals[best]), len(first)
+        at = base + pick
+        totals += cand.take(at)
+        placed[at] = -np.inf
+        seqs[t] = pick
+    return seqs, totals
 
 
 def greedy_arrange(pattern: BlockPattern, cfg: ArchConfig) -> SolverResult:
     """Constructive baseline: from every ordered pair, repeatedly append the page
     that maximizes the newest complete triple's score; keep the best completion.
 
-    Time O(N^4) in numpy passes; memory O(N^3), the size of the tensor itself."""
+    Time O(N^4) in numpy passes; memory O(N^3) for the tensor plus one chunk
+    of starting pairs (_GREEDY_CHUNK float64 entries per array)."""
     started = time.perf_counter()
     best_order, _, count = _greedy_best(build_score_tensor(pattern, cfg))
     return _finish(pattern, cfg, best_order, count, started)
@@ -266,24 +298,31 @@ def simulated_annealing(
     if temp is None:
         temp = max(SA_DEFAULT_T0_FRACTION * current, 1e-12)
 
-    # The triples a change at position p touches: k in [p-2, p], clamped.
+    # touched[i * n + j]: the triples a swap of positions i and j touches, k in
+    # [p-2, p] for p = i, j, clamped; one tuple serves both orders of a pair.
     window = [range(max(p - 2, 0), min(p, n - 3) + 1) for p in range(n)]
+    touched = [()] * (n * n)
+    for lo in range(n):
+        for hi in range(lo + 1, n):
+            if hi - lo > 3:
+                pair = (*window[lo], *window[hi])
+            else:  # the two windows overlap or abut
+                pair = tuple(range(window[lo].start, window[hi].stop))
+            touched[lo * n + hi] = touched[hi * n + lo] = pair
     tri = [view[seq[k], seq[k + 1], seq[k + 2]] for k in range(n - 2)]
     unit = _SA_SLACK * max(n, 8) * 2.0**-53
     err = 0.0
+    randrange, rand, exp = rng.randrange, rng.random, math.exp
+    cooling = schedule.cooling_factor
     for _ in range(schedule.iterations):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
+        i = randrange(n)
+        j = randrange(n)
         while j == i:
-            j = rng.randrange(n)
+            j = randrange(n)
         seq[i], seq[j] = seq[j], seq[i]
-        lo, hi = (i, j) if i < j else (j, i)
-        if hi - lo > 3:
-            touched = (*window[lo], *window[hi])
-        else:  # the two windows overlap or abut
-            touched = range(window[lo].start, window[hi].stop)
+        swap = touched[i * n + j]
         new_sum = old_sum = 0.0
-        for k in touched:
+        for k in swap:
             new_sum += view[seq[k], seq[k + 1], seq[k + 2]]
             old_sum += tri[k]
         d = new_sum - old_sum
@@ -294,10 +333,10 @@ def simulated_annealing(
         elif d < -beta:
             accept = False
             if temp > 0:
-                u = rng.random()
-                if u < math.exp((d - beta) / temp):
+                u = rand()
+                if u < exp((d - beta) / temp):
                     accept = True
-                elif u < math.exp((d + beta) / temp):
+                elif u < exp((d + beta) / temp):
                     accept = None
         else:
             accept = None
@@ -309,10 +348,10 @@ def simulated_annealing(
             candidate = _seq_score(view, seq)
             delta = candidate - current
             accept = delta >= 0 or (
-                temp > 0 and (rng.random() if u is None else u) < math.exp(delta / temp)
+                temp > 0 and (rand() if u is None else u) < exp(delta / temp)
             )
         if accept:
-            for k in touched:
+            for k in swap:
                 tri[k] = view[seq[k], seq[k + 1], seq[k + 2]]
             if candidate is None:
                 current += d
@@ -326,7 +365,7 @@ def simulated_annealing(
                 best_order = list(seq)
         else:
             seq[i], seq[j] = seq[j], seq[i]
-        temp *= schedule.cooling_factor
+        temp *= cooling
 
     evaluations = greedy_count + 1 + schedule.iterations
     return _finish(pattern, cfg, best_order, evaluations, started)

@@ -563,6 +563,7 @@ def test_negative_seed_exits_1_without_traceback(tmp_path, capsys, command):
     assert code == 1
     assert out == ""
     assert err == "error: InvalidArgument: seed must be non-negative, got -1\n"
+    assert not (tmp_path / "neg").exists()  # gen refuses the seed before mkdir
 
 
 def test_usage_error_exits_1(capsys):
@@ -623,3 +624,42 @@ def test_golden_desk_run_is_pinned(tmp_path, capsys):
     for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
         digest.update(str(path.relative_to(tmp_path)).encode() + b"\0" + path.read_bytes() + b"\0")
     assert digest.hexdigest() == GOLDEN_DESK_DIGEST
+
+
+GOLDEN_WIDE_DIGEST = "b597b01fb3d8f27adc3262d86f6e7091fbd168708535475e77d2bca5b3bbf30b"
+
+
+def test_golden_wide_arrange_is_pinned(tmp_path, capsys):
+    """The classical solvers at N=64, C=64 through the CLI, hashed.
+
+    gen 2 blocks, then arrange each with greedy and with SA, once with the
+    default schedule and once with --t0 1000. At N=64 the default auto T0 is
+    so hot that SA's best is its greedy start; the cooler run takes accepted
+    moves past it. The digest covers every printed line, with the
+    ``elapsed=`` field and the tmp path taken out, and the bytes of each
+    mapping table SA writes. Greedy and SA are exact float sums over the
+    score tensor, so it changes only with an intended output change.
+    """
+    data = tmp_path / "data"
+    printed = []
+
+    def cli(*argv):
+        code, out, err = run([str(a) for a in argv], capsys)
+        assert (code, err) == (0, "")
+        printed.append(re.sub(r"elapsed=\S+", "elapsed=", out.replace(str(tmp_path), "<tmp>")))
+
+    cli("gen", "--out", data, "--blocks", 2, "--wordlines", 64, "--cells", 64, "--seed", 7)
+    maps = []
+    for block in sorted(data.glob("*.pdap")):
+        cli("arrange", "--in", block, "--solver", "greedy")
+        for t0 in ("auto", 1000):
+            maps.append(tmp_path / f"{block.stem}-{t0}.pdam")
+            t0_flag = () if t0 == "auto" else ("--t0", t0)
+            cli("arrange", "--in", block, "--solver", "sa", *t0_flag, "--out-map", maps[-1])
+
+    digest = hashlib.sha256()
+    for text in printed:
+        digest.update(text.encode() + b"\0")
+    for path in maps:
+        digest.update(path.read_bytes() + b"\0")
+    assert digest.hexdigest() == GOLDEN_WIDE_DIGEST

@@ -288,6 +288,31 @@ class TestRandomSearch:
         assert result.score.hex() == score.hex()
         assert result.evaluations == count
 
+    @given(
+        kind=st.sampled_from(BLOCK_KINDS),
+        n=st.integers(3, 10),
+        c=st.integers(1, 8),
+        iterations=st.integers(1, 300),
+        rows=st.integers(0, 80),
+        block_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_batch_size_matches_reference_loop(
+        self, kind, n, c, iterations, rows, block_seed, seed
+    ):
+        # A byte budget of rows * 8N gives batches of that many rows; below
+        # one row's 8N bytes a batch still holds one draw.
+        cfg = ArchConfig(num_wordlines=n, cells_per_page=c)
+        pattern = make_block(kind, n, c, block_seed)
+        order, score, count = _reference_random_search(pattern, cfg, iterations, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, "_RANDOM_BATCH_BYTES", rows * 8 * n)
+            result = random_search(pattern, cfg, iterations=iterations, seed=seed)
+        assert result.perm.order == order
+        assert result.score.hex() == score.hex()
+        assert result.evaluations == count
+
     def test_memory_is_bounded_at_n64(self, peak_bytes):
         # The 2 MiB tensor, one 4,096 x 64 index batch (2 MiB) and its draws
         # as Python lists.
@@ -342,11 +367,53 @@ class TestGreedy:
         assert list(result.perm.order) == order
         assert result.evaluations == count
 
+    @given(greedy_cases(), st.integers(1, 140))
+    @settings(max_examples=100, deadline=None)
+    def test_every_chunk_size_matches_reference_loop(self, case, rows):
+        pattern, cfg = case
+        n = pattern.num_wordlines
+        tensor = build_score_tensor(pattern, cfg)
+        ref_order, ref_score, ref_count = _reference_greedy(tensor.tolist(), n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, "_GREEDY_CHUNK", rows * n)
+            order, score, count = solvers._greedy_best(tensor)
+        assert order == ref_order
+        assert score.hex() == ref_score.hex()
+        assert count == ref_count == n * (n - 1)
+
+    @pytest.mark.parametrize("level", [None, 0, 9])
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_ties_across_chunks_go_to_the_earliest_pair(self, monkeypatch, n, level):
+        # Identical rows (level None) or one level everywhere: every starting
+        # pair's completion ties, so every chunk boundary splits a run of tied
+        # totals, and the first pair's identity order must win.
+        if level is None:
+            pattern = make_block("identical_rows", n, 6, seed=n)
+        else:
+            pattern = BlockPattern(np.full((n, 6), level, dtype=np.uint8))
+        tensor = build_score_tensor(pattern, ArchConfig(num_wordlines=n, cells_per_page=6))
+        ref_order, ref_score, _ = _reference_greedy(tensor.tolist(), n)
+        assert ref_order == list(range(n))
+        pairs = n * (n - 1)
+        for chunk in (1, n, 2 * n, 3 * n, n * n, (pairs - 1) * n, pairs * n, 2**16):
+            monkeypatch.setattr(solvers, "_GREEDY_CHUNK", chunk)
+            order, score, count = solvers._greedy_best(tensor)
+            assert (order, score.hex(), count) == (ref_order, ref_score.hex(), pairs)
+
     def test_memory_is_bounded_by_the_tensor(self, peak_bytes):
-        # O(N^3): the 2 MiB tensor plus a few N(N-1) x N candidate arrays.
+        # The 2 MiB tensor, its build's temporaries, and one chunk of 1,024
+        # starting pairs: three 512 KiB (pairs, N) arrays.
         cfg = ArchConfig(num_wordlines=64, cells_per_page=64)
         pattern = gen_random_block(cfg, seed=4)
-        assert peak_bytes(greedy_arrange, pattern, cfg) < 16 * 2**20
+        assert peak_bytes(greedy_arrange, pattern, cfg) < 6 * 2**20
+
+    def test_memory_does_not_grow_with_the_starting_pairs(self, peak_bytes):
+        # At N=128 the tensor is 16 MiB and its build peaks near 26 MiB. One
+        # pass over all N(N-1) starting pairs would hold three 16 MiB
+        # (pairs, N) arrays on top; 512-pair chunks hold three 512 KiB ones.
+        cfg = ArchConfig(num_wordlines=128, cells_per_page=64)
+        pattern = gen_random_block(cfg, seed=4)
+        assert peak_bytes(greedy_arrange, pattern, cfg) < 32 * 2**20
 
 
 class TestSimulatedAnnealing:
