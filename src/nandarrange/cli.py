@@ -293,7 +293,7 @@ def cmd_compare(args) -> int:
     _, blocks = _load_blocks(args.data_dir)
     cfg = _arch_for(blocks)
     model = _load_model(args.model)
-    schedule = solvers.AnnealSchedule(iterations=args.iterations)
+    schedule = solvers.AnnealSchedule(iterations=args.iterations, seed=args.seed)
     identity_scores = [scoring.block_score(b, cfg) for b in blocks]
 
     text = [f"{'solver':<12}{'mean_score':>16}{'min_score':>16}{'max_score':>16}{'uplift%':>10}{'time_s':>10}"]

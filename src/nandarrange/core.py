@@ -23,6 +23,18 @@ from .errors import (
 LEVELS = 16
 ERASED = 0
 
+# Working-set budget of every chunked pass: each walks as many items (cells,
+# page columns, starting pairs, permutation rows) per chunk as fit at its own
+# bytes per item. Read at call time, so one setting reaches every pass.
+CHUNK_BYTES = 2**20
+
+
+def chunks(count: int, item_bytes: int):
+    """In-order slices of range(count), each of as many items of
+    ``item_bytes`` bytes as fit in CHUNK_BYTES, and at least one."""
+    size = max(1, CHUNK_BYTES // item_bytes)
+    return (slice(start, min(start + size, count)) for start in range(0, count, size))
+
 
 def check_seed(seed: int) -> None:
     """Raise InvalidArgument unless seed >= 0, the range every seeded stream takes."""

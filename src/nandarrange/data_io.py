@@ -74,7 +74,7 @@ def split_indices(count: int, seed: int) -> tuple[list[int], list[int]]:
     check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(count)
-    n_train = int(np.floor(0.7 * count + 0.5))
+    n_train = (7 * count + 5) // 10
     return [int(i) for i in order[:n_train]], [int(i) for i in order[n_train:]]
 
 

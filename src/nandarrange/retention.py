@@ -15,8 +15,8 @@ alone, so each is evaluated once on the 16^3 = 4,096 triples and gathered
 through scoring.triple_index. The only full-size arrays are that uint16
 index and each function's result (float64 voltages or exposure, uint8
 read-back levels); the gather, the normal draw, the quantization and the
-bit count walk the block in chunks of scoring._GATHER_CELLS cells, so their
-temporaries stay within about 1 MiB.
+bit count walk the block in chunks of core.CHUNK_BYTES at 8 bytes a cell
+(2^17 cells), so their temporaries stay within about 1 MiB.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LEVELS, ArchConfig, BlockPattern, check_seed
+from .core import LEVELS, ArchConfig, BlockPattern, check_seed, chunks
 from .errors import DimensionMismatch, InvalidArgument
 from .data_io import GRAY_TABLE
-from .scoring import _chunks, _gather, score_table, triple_index
+from .scoring import _gather, score_table, triple_index
 
 BITS_PER_CELL = 4
 # Bits that differ between the Gray codes of levels a and b, at index a << 4 | b.
@@ -123,7 +123,7 @@ def simulate_retention(
     if rcfg.noise_sigma > 0:
         rng = np.random.Generator(np.random.PCG64(rcfg.seed))
         flat = voltages.reshape(-1)
-        for part in _chunks(flat.size):
+        for part in chunks(flat.size, 8):
             flat[part] += rng.normal(0.0, rcfg.noise_sigma, size=flat[part].size)
     return voltages
 
@@ -137,7 +137,7 @@ def read_back(voltages: np.ndarray) -> BlockPattern:
     voltages = np.asarray(voltages)
     levels = np.empty(voltages.shape, dtype=np.uint8)
     flat_voltages, flat_levels = voltages.reshape(-1), levels.reshape(-1)
-    for part in _chunks(flat_levels.size):
+    for part in chunks(flat_levels.size, 8):
         chunk = np.add(flat_voltages[part], 0.5, dtype=np.float64)
         if np.isnan(chunk).any():
             raise InvalidArgument("voltages hold NaN, which has no nearest level")
@@ -164,7 +164,7 @@ def measure_ber(original: BlockPattern, readback: BlockPattern) -> float:
         )
     flat_original, flat_readback = original.cells.reshape(-1), readback.cells.reshape(-1)
     flipped = 0
-    for part in _chunks(flat_original.size):
+    for part in chunks(flat_original.size, 8):
         index = flat_original[part].astype(np.uint8) << 4
         index |= flat_readback[part].astype(np.uint8, copy=False)
         flipped += int(np.take(_BIT_FLIPS, index).sum())

@@ -5,6 +5,8 @@ level, the levels of its vertical neighbors on the same bitline, and an
 erase-adjacency coupling coefficient. Block scores sum the interior wordline
 triples only: edge wordlines lack one neighbor, so exactly N-2 triples exist
 and the block score decomposes over consecutive triples of any arrangement.
+The per-cell gathers and the score tensor's column blocks walk the block in
+chunks of the one working-set budget, core.CHUNK_BYTES.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ERASED, LEVELS, ArchConfig, BlockPattern, validate_pattern
+from .core import ERASED, LEVELS, ArchConfig, BlockPattern, chunks, validate_pattern
 from .errors import LengthMismatch, LevelOutOfRange, TooFewWordlines
 
 _tensor_builds = 0
@@ -110,22 +112,12 @@ def triple_index(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     return index
 
 
-# Cells per chunk of every whole-block per-cell pass (the gathers here and
-# the noise, quantization and bit count in retention): a chunk's intp copy of
-# the index, or its float64 temporary, stays within 1 MiB.
-_GATHER_CELLS = 2**17
-
-
-def _chunks(size: int):
-    """Slices that walk a flat array of ``size`` cells, _GATHER_CELLS at a time."""
-    return (slice(start, start + _GATHER_CELLS) for start in range(0, size, _GATHER_CELLS))
-
-
 def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
     """out[...] = table.ravel()[index], one chunk of cells at a time.
 
     take converts its whole index to intp first, so one call over the
-    (N-2) x C uint16 index would copy it at 8 bytes a cell. The index is in
+    (N-2) x C uint16 index would copy it at 8 bytes a cell; a chunk's copy
+    is charged those 8 bytes a cell against core.CHUNK_BYTES. The index is in
     range by construction; mode="clip" keeps take from buffering a copy of
     its output. ``out`` must be C-contiguous, so that its flat reshape is a
     view that the chunks write into; any other ``out`` raises ValueError.
@@ -134,7 +126,7 @@ def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
         raise ValueError("gather output must be C-contiguous")
     flat_index = index.reshape(-1)
     flat_out = out.reshape(-1)
-    for part in _chunks(flat_index.size):
+    for part in chunks(flat_index.size, 8):
         np.take(table, flat_index[part], out=flat_out[part], mode="clip")
 
 
@@ -155,17 +147,15 @@ def block_score(pattern: BlockPattern, cfg: ArchConfig) -> float:
     return float(values.sum())
 
 
-# Column blocks of the score-tensor build. A block's (N, N, k) float32 buffer
-# holds at most _BLOCK_ELEMENTS entries (1 MiB), and k stays at or below
-# _EXACT_BLOCK_CELLS so that 720 k < 2^24: every float32 sum in a block is an
-# exact integer (see build_score_tensor).
-_BLOCK_ELEMENTS = 2**18
+# Column blocks of the score-tensor build hold at most this many cells, so
+# that 720 k < 2^24 keeps every float32 block sum exact (see build_score_tensor).
 _EXACT_BLOCK_CELLS = 16_384
 
 
 def _block_width(num_wordlines: int) -> int:
-    """Cells per column block of the score-tensor build at N wordlines."""
-    return max(1, min(_EXACT_BLOCK_CELLS, _BLOCK_ELEMENTS // num_wordlines**2))
+    """Cells per column block of the score-tensor build at N wordlines, each
+    charged its 4 N^2 bytes of the float32 block buffer."""
+    return next(chunks(_EXACT_BLOCK_CELLS, 4 * num_wordlines**2)).stop
 
 
 def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
@@ -208,8 +198,8 @@ def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     happens only in the final combination with k1, k2 and alpha.
 
     Memory is O(N^2 k + N^3) whatever C: the float32 block stays within
-    1 MiB (2^18 entries), the matmul output is N^3 float32, and the float64
-    tensor doubles as the accumulator.
+    core.CHUNK_BYTES (or one column), the matmul output is N^3 float32, and
+    the float64 tensor doubles as the accumulator.
     """
     global _tensor_builds
     if pattern.num_wordlines < 3:

@@ -8,22 +8,20 @@ reported score from the returned permutation with block_score, so results
 can never carry a stale cached value. Every solver is a deterministic
 function of its inputs and seed.
 
-Greedy and exhaustive search are numpy array passes. Greedy advances the
-N(N-1) ordered starting pairs in chunks of _GREEDY_CHUNK // N pairs (all of
-them at N <= 32), one masked argmax per appended page, so its working memory
-is the tensor plus one chunk; exhaustive search scores every row of a
-lexicographic N! x N permutation array. Ties go to the lowest page index
-within a greedy step, then to the earliest starting pair (a strict > across
-chunks), and in exhaustive search to the lexicographically smallest map:
-argmax returns the first maximum. Totals accumulate one triple per pass,
-left to right from 0.0, which is the exact float sum that _seq_score takes
-over the same order; a pairwise row sum would round differently and could
-flip a near-tie.
+Greedy, random and exhaustive search differ only in their candidate orders:
+greedy completions of every ordered starting pair (one masked argmax per
+appended page), seeded draws, or the rows of a lexicographic N! x N
+permutation array. Each scores them in core.chunks at 16N bytes a row
+(1,024 greedy pairs at N=64), so its working memory is the tensor plus one
+chunk, and keeps the earliest best row through _first_best. Ties go to the
+lowest page index within a greedy step, then to the earliest starting pair,
+draw or lexicographic map. Totals accumulate one triple per pass, left to
+right from 0.0, which is the exact float sum that _seq_score takes over the
+same order; a pairwise row sum would round differently and could flip a
+near-tie.
 
 Random search and annealing follow one Python RNG stream each, so their draws
-stay sequential. Random search scores its draws in numpy batches, at most
-2 MiB of indices each, through the same row sum as exhaustive search,
-_row_totals. Annealing reads single entries through a memoryview of the
+stay sequential. Annealing reads single entries through a memoryview of the
 tensor, only for the at most six triples a swap touches (listed once per
 position pair before the loop), and falls back to the exact full sum only
 when a rounding bound cannot settle a step.
@@ -39,18 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural
-from .core import ArchConfig, BlockPattern, Permutation, apply_permutation
+from .core import ArchConfig, BlockPattern, Permutation, apply_permutation, check_seed, chunks
 from .errors import InvalidArgument, TooManyWordlines
 from .scoring import block_score, build_score_tensor
 
 EXHAUSTIVE_LIMIT = 9
-# Random search draws up to this many permutations per numpy scoring pass,
-# fewer where an int64 index batch would outgrow _RANDOM_BATCH_BYTES (N > 64).
-_RANDOM_BATCH = 4096
-_RANDOM_BATCH_BYTES = 2**21
-# Greedy advances its starting pairs in chunks of this many float64 entries
-# per (pairs, N) array: 1,024 pairs at N=64, all N(N-1) pairs at N <= 32.
-_GREEDY_CHUNK = 2**16
 
 SA_DEFAULT_COOLING = 0.999
 SA_DEFAULT_ITERATIONS = 10_000
@@ -86,6 +77,7 @@ class AnnealSchedule:
             raise InvalidArgument(f"cooling_factor must lie in (0,1), got {self.cooling_factor}")
         if self.iterations < 1:
             raise InvalidArgument(f"iterations must be >= 1, got {self.iterations}")
+        check_seed(self.seed)
 
 
 def _seq_score(tensor: memoryview, seq: list[int]) -> float:
@@ -102,6 +94,20 @@ def _row_totals(tensor: np.ndarray, rows: np.ndarray) -> np.ndarray:
     for t in range(rows.shape[1] - 2):
         totals += tensor[rows[:, t], rows[:, t + 1], rows[:, t + 2]]
     return totals
+
+
+def _first_best(scored) -> tuple[list[int], float]:
+    """The first best row over chunks of (rows, totals), and its total.
+
+    The first argmax within a chunk and a strict > across chunks keep the
+    earliest best row for any chunk size. The row is copied out as a list,
+    so no chunk outlives its turn."""
+    best_order, best = None, -math.inf
+    for rows, totals in scored:
+        top = int(totals.argmax())
+        if totals[top] > best:
+            best_order, best = rows[top].tolist(), float(totals[top])
+    return best_order, best
 
 
 def _finish(pattern, cfg, order, evaluations, started) -> SolverResult:
@@ -129,8 +135,8 @@ def _permutations(n: int) -> np.ndarray:
 def exhaustive_best(pattern: BlockPattern, cfg: ArchConfig) -> SolverResult:
     """Score all N! arrangements; ties go to the lexicographically smallest map.
 
-    One pass per triple position over an N! x N uint8 permutation table
-    (3.3 MB at N=9)."""
+    One pass per triple position over each chunk of an N! x N uint8
+    permutation table (3.3 MB at N=9)."""
     started = time.perf_counter()
     n = pattern.num_wordlines
     if n > EXHAUSTIVE_LIMIT:
@@ -139,7 +145,9 @@ def exhaustive_best(pattern: BlockPattern, cfg: ArchConfig) -> SolverResult:
         )
     tensor = build_score_tensor(pattern, cfg)
     perms = _permutations(n)
-    best_order = perms[int(_row_totals(tensor, perms).argmax())].tolist()
+    best_order, _ = _first_best(
+        (perms[part], _row_totals(tensor, perms[part])) for part in chunks(len(perms), 16 * n)
+    )
     return _finish(pattern, cfg, best_order, len(perms), started)
 
 
@@ -149,58 +157,47 @@ def random_search(
     """Best of `iterations` uniform permutations, each a random.shuffle of the
     last (Fisher-Yates over one Mersenne Twister stream).
 
-    The draws are sequential; they are scored in numpy batches by
-    _row_totals, the exact left-to-right sums exhaustive search takes. A
-    batch holds _RANDOM_BATCH rows, or fewer so that its index array stays
-    within _RANDOM_BATCH_BYTES (2 MiB, 4,096 rows at N=64). The first argmax
-    within a batch and a strict > across batches keep the earliest best draw
-    for any batch size."""
+    The draws are sequential; they are scored in numpy chunks by
+    _row_totals, the exact left-to-right sums exhaustive search takes."""
     if iterations < 1:
         raise InvalidArgument(f"iterations must be >= 1, got {iterations}")
+    check_seed(seed)
     started = time.perf_counter()
     tensor = build_score_tensor(pattern, cfg)
     rng = random.Random(seed)
-    best_order = None
-    best = -math.inf
-    n = pattern.num_wordlines
-    batch = min(_RANDOM_BATCH, max(1, _RANDOM_BATCH_BYTES // (8 * n)))
-    seq = list(range(n))
-    for start in range(0, iterations, batch):
-        draws = []
-        for _ in range(min(batch, iterations - start)):
-            rng.shuffle(seq)
-            draws.append(seq[:])
-        totals = _row_totals(tensor, np.array(draws))
-        top = int(totals.argmax())
-        if totals[top] > best:
-            best = totals[top]
-            best_order = draws[top]
+    seq = list(range(pattern.num_wordlines))
+
+    def scored():
+        for part in chunks(iterations, 16 * len(seq)):
+            draws = []
+            for _ in range(part.stop - part.start):
+                rng.shuffle(seq)
+                draws.append(seq[:])
+            rows = np.array(draws)
+            yield rows, _row_totals(tensor, rows)
+
+    best_order, _ = _first_best(scored())
     return _finish(pattern, cfg, best_order, iterations, started)
 
 
 def _greedy_best(tensor: np.ndarray) -> tuple[list[int], float, int]:
     """Greedy completions of every ordered starting pair, advanced together
-    _GREEDY_CHUNK // N pairs at a time.
+    one chunk of pairs at a time.
 
     Returns the best order, its tensor-sum score and the number of
-    completions scored, N(N-1). The first argmax within a chunk and a strict >
-    across chunks keep the earliest best starting pair for any chunk size."""
+    completions scored, N(N-1)."""
     n = tensor.shape[0]
     first, second = np.nonzero(~np.eye(n, dtype=bool))
     rows = tensor.reshape(n * n, n)
-    size = max(1, _GREEDY_CHUNK // n)
-    best_order, best = None, -math.inf
-    for lo in range(0, len(first), size):
-        seqs, totals = _greedy_chunk(rows, first[lo:lo + size], second[lo:lo + size])
-        top = int(totals.argmax())
-        if totals[top] > best:
-            best_order, best = seqs[:, top].tolist(), float(totals[top])
+    best_order, best = _first_best(
+        _greedy_chunk(rows, first[part], second[part]) for part in chunks(len(first), 16 * n)
+    )
     return best_order, best, len(first)
 
 
 def _greedy_chunk(rows: np.ndarray, first: np.ndarray, second: np.ndarray):
     """Greedy completions of the starting pairs (first[k], second[k]): their
-    page orders, position-major (N, pairs), and their totals."""
+    page orders, one row per pair, and their totals."""
     n = rows.shape[1]
     m = len(first)
     seqs = np.empty((n, m), dtype=np.intp)
@@ -223,7 +220,7 @@ def _greedy_chunk(rows: np.ndarray, first: np.ndarray, second: np.ndarray):
         totals += cand.take(at)
         placed[at] = -np.inf
         seqs[t] = pick
-    return seqs, totals
+    return seqs.T, totals
 
 
 def greedy_arrange(pattern: BlockPattern, cfg: ArchConfig) -> SolverResult:
@@ -231,7 +228,7 @@ def greedy_arrange(pattern: BlockPattern, cfg: ArchConfig) -> SolverResult:
     that maximizes the newest complete triple's score; keep the best completion.
 
     Time O(N^4) in numpy passes; memory O(N^3) for the tensor plus one chunk
-    of starting pairs (_GREEDY_CHUNK float64 entries per array)."""
+    of starting pairs."""
     started = time.perf_counter()
     best_order, _, count = _greedy_best(build_score_tensor(pattern, cfg))
     return _finish(pattern, cfg, best_order, count, started)

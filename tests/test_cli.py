@@ -551,13 +551,16 @@ class TestRunConfig:
             parse_run_config({"train": 5})
 
 
-@pytest.mark.parametrize("command", ["gen", "split", "simulate"])
+@pytest.mark.parametrize("command", ["gen", "split", "simulate", "arrange", "compare"])
 def test_negative_seed_exits_1_without_traceback(tmp_path, capsys, command):
     data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=8)
+    block = str(next(data.glob("*.pdap")))
     argv = {
         "gen": ["gen", "--out", str(tmp_path / "neg"), "--blocks", "1"],
         "split": ["split", "--data-dir", str(data)],
-        "simulate": ["simulate", "--in", str(next(data.glob("*.pdap")))],
+        "simulate": ["simulate", "--in", block],
+        "arrange": ["arrange", "--in", block, "--solver", "sa"],
+        "compare": ["compare", "--data-dir", str(data), "--solvers", "greedy,sa,random"],
     }[command]
     code, out, err = run(argv + ["--seed", "-1"], capsys)
     assert code == 1

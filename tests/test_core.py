@@ -4,13 +4,26 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nandarrange import (
+    AnnealSchedule,
     ArchConfig,
     BlockPattern,
     Permutation,
+    RetentionConfig,
     apply_permutation,
+    block_score,
+    build_score_tensor,
+    exhaustive_best,
+    gen_random_block,
+    greedy_arrange,
     invert_permutation,
+    measure_ber,
+    random_search,
+    read_back,
+    simulate_retention,
+    simulated_annealing,
     validate_pattern,
 )
+from nandarrange import core, retention, scoring, solvers
 from nandarrange.errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -214,3 +227,104 @@ def test_block_pattern_is_read_only():
     p = pattern_of([[0], [1], [2]])
     with pytest.raises(ValueError):
         p.cells[0, 0] = 3
+
+
+@given(st.integers(0, 5000), st.integers(1, 3000), st.integers(0, 2**21))
+def test_chunks_split_the_range_in_order(count, item_bytes, budget):
+    size = max(1, budget // item_bytes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "CHUNK_BYTES", budget)
+        parts = [range(count)[part] for part in core.chunks(count, item_bytes)]
+    assert [i for part in parts for i in part] == list(range(count))
+    assert all(1 <= len(part) <= size for part in parts)
+    assert all(len(part) == size for part in parts[:-1])
+
+
+def _chunk_lengths(monkeypatch, module):
+    """Record the chunk lengths of every core.chunks walk that ``module`` makes."""
+    walks = []
+
+    def recording(count, item_bytes):
+        parts = list(core.chunks(count, item_bytes))
+        walks.append([part.stop - part.start for part in parts])
+        return iter(parts)
+
+    monkeypatch.setattr(module, "chunks", recording)
+    return walks
+
+
+class TestChunkSizesAtBenchmarkShapes:
+    # The default budget keeps every pass's chunks at the sizes the benchmark
+    # shapes were measured with. The tensor build's column widths are pinned
+    # in test_scoring.py (TestColumnBlocks::test_block_width_bounds).
+    def test_cell_passes_walk_2_17_cells(self, monkeypatch):
+        cfg = ArchConfig(num_wordlines=4, cells_per_page=2**17)
+        block = gen_random_block(cfg, seed=1)
+        gathers = _chunk_lengths(monkeypatch, scoring)
+        cell_passes = _chunk_lengths(monkeypatch, retention)
+        block_score(block, cfg)
+        measure_ber(block, read_back(simulate_retention(block, cfg, RetentionConfig(seed=1))))
+        assert gathers == [[2**17, 2**17]] * 2  # block_score, then the drift gather
+        assert cell_passes == [[2**17] * 4] * 3  # noise, read_back, measure_ber
+
+    def test_greedy_walks_1024_pairs_at_n64(self, monkeypatch):
+        walks = _chunk_lengths(monkeypatch, solvers)
+        solvers._greedy_best(np.zeros((64, 64, 64)))
+        assert walks == [[1024] * 3 + [64 * 63 - 3 * 1024]]
+
+    def test_random_search_draws_8192_at_n8(self, monkeypatch):
+        cfg = ArchConfig(num_wordlines=8, cells_per_page=32)
+        block = gen_random_block(cfg, seed=2)
+        walks = _chunk_lengths(monkeypatch, solvers)
+        random_search(block, cfg, 2000, 0)
+        random_search(block, cfg, 10_000, 0)
+        assert walks == [[2000], [8192, 1808]]
+
+    def test_exhaustive_walks_8192_rows_at_n8(self, monkeypatch):
+        cfg = ArchConfig(num_wordlines=8, cells_per_page=32)
+        walks = _chunk_lengths(monkeypatch, solvers)
+        exhaustive_best(gen_random_block(cfg, seed=3), cfg)
+        assert walks == [[8192] * 4 + [40_320 - 4 * 8192]]
+
+
+def _every_chunked_pass(cells):
+    """Outputs of every pass that walks core.chunks, on one 7 x 24 block."""
+    cfg = ArchConfig(num_wordlines=7, cells_per_page=24)
+    block = BlockPattern(cells)
+    voltages = simulate_retention(block, cfg, RetentionConfig(seed=21))
+    readback = read_back(voltages)
+    results = [
+        exhaustive_best(block, cfg),
+        random_search(block, cfg, 300, 5),
+        greedy_arrange(block, cfg),
+        simulated_annealing(block, cfg, AnnealSchedule(iterations=500, seed=5)),
+    ]
+    return {
+        "block_score": block_score(block, cfg).hex(),
+        "tensor": build_score_tensor(block, cfg),
+        "voltages": voltages,
+        "readback": readback.cells,
+        "ber": measure_ber(block, readback).hex(),
+        "solvers": [(r.perm.order, r.score.hex(), r.evaluations) for r in results],
+    }
+
+
+@pytest.mark.parametrize("kind", ["random", "identical_rows"])
+def test_every_budget_gives_the_default_outputs(kind):
+    # Identical rows tie every arrangement, so the earliest best must win
+    # across every chunk boundary.
+    cells = gen_random_block(ArchConfig(num_wordlines=7, cells_per_page=24), seed=21).cells
+    if kind == "identical_rows":
+        cells = np.tile(cells[0], (7, 1))
+    expected = _every_chunked_pass(cells)
+    if kind == "identical_rows":
+        assert [order for order, _, _ in expected["solvers"][::2]] == [tuple(range(7))] * 2
+    for budget in (1, 56, 4096):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "CHUNK_BYTES", budget)
+            got = _every_chunked_pass(cells)
+        for key, value in expected.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(got[key], value), (budget, key)
+            else:
+                assert got[key] == value, (budget, key)

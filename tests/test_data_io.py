@@ -1,4 +1,6 @@
+import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,6 +109,13 @@ class TestSplit:
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidArgument, match="seed must be non-negative, got -1"):
             split_indices(10, seed=-1)
+
+    def test_train_share_rounds_half_up(self):
+        # 0.7 * 45 = 31.499999999999996 in floats: a float half-up gave 31.
+        for count in range(10, 5001):
+            train, _ = split_indices(count, seed=0)
+            assert len(train) == math.floor(Fraction(7 * count, 10) + Fraction(1, 2)), count
+        assert [len(split_indices(count, seed=0)[0]) for count in (20, 45, 100)] == [14, 32, 70]
 
 
 class TestMappingTable:

@@ -190,7 +190,7 @@ class TestSimulateRetention:
     def test_gather_slabs_do_not_change_values(self, monkeypatch, slab_cells):
         # Chunks that cross rows (7), that fill one row exactly (9), and that
         # span rows with a shorter last chunk over the 108 cells (30).
-        monkeypatch.setattr("nandarrange.scoring._GATHER_CELLS", slab_cells)
+        monkeypatch.setattr("nandarrange.core.CHUNK_BYTES", slab_cells * 8)
         cfg = ArchConfig(num_wordlines=12, cells_per_page=9)
         block = gen_random_block(cfg, seed=8)
         rcfg = RetentionConfig(seed=8)

@@ -15,9 +15,9 @@ from nandarrange import (
     cell_score,
     page_triple_score,
 )
+from nandarrange import core
 from nandarrange.errors import LengthMismatch, LevelOutOfRange, TooFewWordlines
 from nandarrange.scoring import (
-    _BLOCK_ELEMENTS,
     _EXACT_BLOCK_CELLS,
     _block_width,
     _gather,
@@ -351,7 +351,7 @@ class TestColumnBlocks:
         for n in (3, 4, 16, 64, 100, 512, 513, 4096):
             width = _block_width(n)
             assert 1 <= width <= _EXACT_BLOCK_CELLS
-            assert n * n * width <= _BLOCK_ELEMENTS or width == 1
+            assert 4 * n * n * width <= core.CHUNK_BYTES or width == 1
         assert (_block_width(3), _block_width(16), _block_width(64)) == (16_384, 1024, 64)
 
     @pytest.mark.parametrize("n", [3, 16, 64])

@@ -24,7 +24,7 @@ from nandarrange import (
     simulated_annealing,
     tensor_build_count,
 )
-from nandarrange import solvers
+from nandarrange import core, solvers
 from nandarrange.errors import InvalidArgument, TooManyWordlines
 
 
@@ -206,11 +206,13 @@ class TestExhaustive:
         assert result.score.hex() == block_score(apply_permutation(pattern, Permutation(tuple(order))), cfg).hex()
 
     def test_memory_is_bounded_at_the_limit(self, peak_bytes):
-        # The N! x N uint8 table is 3.3 MB at N=9; each column pass adds a
-        # few N!-long index and float arrays.
+        # The N! x N uint8 table is 3.1 MiB at N=9, and building it peaks at
+        # 3.4 MiB; each column pass over a chunk of 7,281 rows adds a few
+        # chunk-long index and float arrays. Measured: 4.05 MiB (8.85 MiB when
+        # each pass ran over all N! rows).
         cfg = ArchConfig(num_wordlines=9, cells_per_page=4)
         pattern = gen_random_block(cfg, seed=9)
-        assert peak_bytes(exhaustive_best, pattern, cfg) < 16 * 2**20
+        assert peak_bytes(exhaustive_best, pattern, cfg) < 5 * 2**20
 
     def test_matches_independent_enumeration(self):
         cfg = ArchConfig(num_wordlines=5, cells_per_page=4)
@@ -268,18 +270,28 @@ class TestRandomSearch:
         with pytest.raises(InvalidArgument):
             random_search(gen_random_block(cfg, seed=0), cfg, iterations=0, seed=0)
 
+    def test_rejects_negative_seed(self):
+        # random.Random(-s) follows Random(s)'s stream, so -3 would repeat 3.
+        assert random.Random(-3).random() == random.Random(3).random()
+        cfg = ArchConfig(num_wordlines=5, cells_per_page=4)
+        with pytest.raises(InvalidArgument, match="seed must be non-negative, got -3"):
+            random_search(gen_random_block(cfg, seed=0), cfg, iterations=10, seed=-3)
+
     @given(
         kind=st.sampled_from(BLOCK_KINDS),
-        n=st.integers(3, 12),
+        n=st.integers(8, 12),
         c=st.integers(1, 12),
-        iterations=st.sampled_from([1, 4095, 4096, 4097, 8193]),
+        extra=st.sampled_from([None, -1, 0, 1]),
         block_seed=st.integers(0, 2**32 - 1),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_matches_reference_loop(self, kind, n, c, iterations, block_seed, seed):
-        # The batch size is 4,096: these counts cover one short batch, one
-        # exactly full batch and a partial last batch.
+    def test_matches_reference_loop(self, kind, n, c, extra, block_seed, seed):
+        # At the default budget a chunk holds k = CHUNK_BYTES // 16N draws
+        # (8,192 at N=8): one draw, one short chunk, one exactly full chunk
+        # and a partial last chunk.
+        k = core.CHUNK_BYTES // (16 * n)
+        iterations = 1 if extra is None else k + extra
         cfg = ArchConfig(num_wordlines=n, cells_per_page=c)
         pattern = make_block(kind, n, c, block_seed)
         order, score, count = _reference_random_search(pattern, cfg, iterations, seed)
@@ -301,21 +313,21 @@ class TestRandomSearch:
     def test_every_batch_size_matches_reference_loop(
         self, kind, n, c, iterations, rows, block_seed, seed
     ):
-        # A byte budget of rows * 8N gives batches of that many rows; below
-        # one row's 8N bytes a batch still holds one draw.
+        # A budget of rows * 16N bytes gives chunks of that many draws; below
+        # one draw's 16N bytes a chunk still holds one.
         cfg = ArchConfig(num_wordlines=n, cells_per_page=c)
         pattern = make_block(kind, n, c, block_seed)
         order, score, count = _reference_random_search(pattern, cfg, iterations, seed)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solvers, "_RANDOM_BATCH_BYTES", rows * 8 * n)
+            patch.setattr(core, "CHUNK_BYTES", rows * 16 * n)
             result = random_search(pattern, cfg, iterations=iterations, seed=seed)
         assert result.perm.order == order
         assert result.score.hex() == score.hex()
         assert result.evaluations == count
 
     def test_memory_is_bounded_at_n64(self, peak_bytes):
-        # The 2 MiB tensor, one 4,096 x 64 index batch (2 MiB) and its draws
-        # as Python lists.
+        # The 2 MiB tensor, one chunk of 1,024 draws as Python lists and its
+        # 512 KiB index array.
         cfg = ArchConfig(num_wordlines=64, cells_per_page=64)
         pattern = gen_random_block(cfg, seed=5)
         assert peak_bytes(random_search, pattern, cfg, 5000, 1) < 16 * 2**20
@@ -375,7 +387,7 @@ class TestGreedy:
         tensor = build_score_tensor(pattern, cfg)
         ref_order, ref_score, ref_count = _reference_greedy(tensor.tolist(), n)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solvers, "_GREEDY_CHUNK", rows * n)
+            patch.setattr(core, "CHUNK_BYTES", rows * 16 * n)
             order, score, count = solvers._greedy_best(tensor)
         assert order == ref_order
         assert score.hex() == ref_score.hex()
@@ -396,7 +408,7 @@ class TestGreedy:
         assert ref_order == list(range(n))
         pairs = n * (n - 1)
         for chunk in (1, n, 2 * n, 3 * n, n * n, (pairs - 1) * n, pairs * n, 2**16):
-            monkeypatch.setattr(solvers, "_GREEDY_CHUNK", chunk)
+            monkeypatch.setattr(core, "CHUNK_BYTES", chunk * 16)
             order, score, count = solvers._greedy_best(tensor)
             assert (order, score.hex(), count) == (ref_order, ref_score.hex(), pairs)
 
@@ -424,6 +436,8 @@ class TestSimulatedAnnealing:
             AnnealSchedule(iterations=0)
         with pytest.raises(InvalidArgument):
             AnnealSchedule(initial_temperature=0.0)
+        with pytest.raises(InvalidArgument, match="seed must be non-negative, got -3"):
+            AnnealSchedule(seed=-3)
 
     def test_single_iteration_at_least_greedy(self):
         cfg = ArchConfig(num_wordlines=6, cells_per_page=8)
