@@ -590,7 +590,11 @@ def train(
                     loss = _backward_into(ws, x, params, s_flat, s_flat_t)
                     np.multiply(g, g, out=square)
                     if clip is not None:
-                        norm = float(np.sqrt(sum(float(v.sum()) for v in square_views)))
+                        # Not the builtin sum: it compensates float sums from Python 3.12.
+                        squares = 0.0
+                        for v in square_views:
+                            squares += float(v.sum())
+                        norm = float(np.sqrt(squares))
                         if norm > clip:
                             g *= clip / norm
                             np.multiply(g, g, out=square)

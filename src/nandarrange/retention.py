@@ -12,11 +12,11 @@ testable at desk scale; it is not a device model.
 Every per-cell quantity before the noise (saturation, neighbor pull,
 exposure, drift) is a function of the cell's (under, mid, up) level triple
 alone, so each is evaluated once on the 16^3 = 4,096 triples and gathered
-through scoring.triple_index. The only full-size arrays are that uint16
-index and each function's result (float64 voltages or exposure, uint8
-read-back levels); the gather, the normal draw, the quantization and the
-bit count walk the block in chunks of core.CHUNK_BYTES at 8 bytes a cell
-(2^17 cells), so their temporaries stay within about 1 MiB.
+per cell by scoring.gather_triples. The only full-size arrays are that
+pass's uint16 triple index and each function's result (float64 voltages or
+exposure, uint8 read-back levels); the gather, the normal draw, the
+quantization and the bit count walk the block in chunks of core.CHUNK_BYTES
+at 8 bytes a cell (2^17 cells), so their temporaries stay within about 1 MiB.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .core import LEVELS, ArchConfig, BlockPattern, check_seed, chunks
 from .errors import DimensionMismatch, InvalidArgument
 from .data_io import GRAY_TABLE
-from .scoring import _gather, score_table, triple_index
+from .scoring import gather_triples, score_table
 
 BITS_PER_CELL = 4
 # Bits that differ between the Gray codes of levels a and b, at index a << 4 | b.
@@ -82,9 +82,8 @@ def cell_exposure(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     have no triple and get exposure 0. Uses alpha-normalized scores so the
     exposure is invariant to the score-range coefficient.
     """
-    index = triple_index(pattern, cfg)
     exposure = np.zeros(pattern.cells.shape, dtype=np.float64)
-    _gather(_exposure_table(cfg), index, exposure[1:-1])
+    gather_triples(_exposure_table(cfg), pattern, cfg, exposure[1:-1])
     return exposure
 
 
@@ -107,7 +106,6 @@ def simulate_retention(
     of cells at a time; each draw continues the same PCG64 stream, so the
     voltages equal those of one whole-block draw bit for bit.
     """
-    index = triple_index(pattern, cfg)
     under, mid, up = np.indices((LEVELS, LEVELS, LEVELS), dtype=np.float64)
     rate = rcfg.coupling * rcfg.time
     saturation = 1.0 + rcfg.saturation_gain * mid / (LEVELS - 1)
@@ -118,8 +116,8 @@ def simulate_retention(
     drift = rate * saturation * np.sign(pull) * FULL_EXPOSURE_DRIFT * response
 
     voltages = np.empty(pattern.cells.shape, dtype=np.float64)
+    gather_triples(mid + drift, pattern, cfg, voltages[1:-1])
     voltages[[0, -1]] = pattern.cells[[0, -1]]
-    _gather(mid + drift, index, voltages[1:-1])
     if rcfg.noise_sigma > 0:
         rng = np.random.Generator(np.random.PCG64(rcfg.seed))
         flat = voltages.reshape(-1)

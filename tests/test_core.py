@@ -105,6 +105,10 @@ class TestValidatePattern:
         with pytest.raises(LevelOutOfRange):
             validate_pattern(pattern_of([[0], [-1], [0]]), cfg)
 
+    def test_one_dimensional_cells_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"^cells must be a 2-D matrix, got ndim=1$"):
+            BlockPattern(np.zeros(8, dtype=np.uint8))
+
 
 @st.composite
 def level_arrays(draw):

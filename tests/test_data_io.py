@@ -159,6 +159,12 @@ class TestMappingTable:
         with pytest.raises(NotABijection):
             read_mapping_table(bytes(data))
 
+    def test_writer_refuses_more_wordlines_than_the_header_holds(self):
+        with pytest.raises(
+            InvalidArgument, match=r"^mapping table limited to 65535 wordlines, got 65536$"
+        ):
+            write_mapping_table(Permutation.identity(65_536))
+
     def test_as_permutation(self):
         table = MappingTable((2, 0, 1))
         assert table.as_permutation().order == (2, 0, 1)

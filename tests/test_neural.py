@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from nandarrange.errors import (
     LevelOutOfRange,
     NonFiniteGradient,
     NonFiniteLoss,
+    TooFewWordlines,
     TruncatedFile,
     UnsupportedVersion,
 )
@@ -530,6 +532,19 @@ class TestTrain:
         with pytest.raises(InvalidArgument, match="seed must be non-negative, got -1"):
             TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("learning_rate", 0.0, r"^learning_rate must be positive$"),
+            ("beta1", 1.0, r"^beta1 must lie in \(0,1\), got 1.0$"),
+            ("beta2", 0.0, r"^beta2 must lie in \(0,1\), got 0.0$"),
+            ("gradient_clip_norm", -1.0, r"^gradient_clip_norm must be positive or None$"),
+        ],
+    )
+    def test_rejects_bad_optimizer_settings(self, field, value, message):
+        with pytest.raises(InvalidArgument, match=message):
+            TrainConfig(**{field: value})
+
     def test_one_epoch_changes_params_and_history_length(self):
         netcfg = NetworkConfig(input_dim=8, hidden_size=4, output_dim=4)
         blocks = [gen_random_block(CFG4, seed=s) for s in range(4)]
@@ -588,6 +603,36 @@ class TestTrain:
         params, history = train(blocks, netcfg, TrainConfig(epochs=3, seed=1), cfg)
         assert hashlib.sha256(write_checkpoint(params, netcfg)).hexdigest() == model_digest
         assert hashlib.sha256(repr(history).encode()).hexdigest() == loss_digest
+
+    def test_clip_norm_does_not_depend_on_the_builtin_sum(self, monkeypatch):
+        # From Python 3.12 the builtin sum adds floats with Neumaier's
+        # compensation; this emulation of it must leave a desk epoch's
+        # parameters exactly where the plain left-to-right fold puts them.
+        builtin_sum = sum
+
+        def compensated_sum(values, start=0):
+            values = list(values)
+            if not all(isinstance(v, float) for v in values):
+                return builtin_sum(values, start)
+            total, compensation = float(start), 0.0
+            for v in values:
+                t = total + v
+                if abs(total) >= abs(v):
+                    compensation += (total - t) + v
+                else:
+                    compensation += (v - t) + total
+                total = t
+            return total + compensation if compensation and math.isfinite(compensation) else total
+
+        assert compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+        cfg = ArchConfig(num_wordlines=8, cells_per_page=32)
+        blocks = [gen_random_block(cfg, seed=s) for s in range(70)]
+        netcfg = NetworkConfig(input_dim=32, hidden_size=16, output_dim=8)
+        traincfg = TrainConfig(epochs=1, seed=1)
+        plain, _ = train(blocks, netcfg, traincfg, cfg)
+        monkeypatch.setattr(neural, "sum", compensated_sum, raising=False)
+        compensated, _ = train(blocks, netcfg, traincfg, cfg)
+        assert compensated.flat.tobytes() == plain.flat.tobytes()
 
     @pytest.mark.parametrize(
         "mismatch, message",
@@ -742,6 +787,22 @@ class TestArrange:
         cfg = ArchConfig(num_wordlines=5, cells_per_page=8)
         with pytest.raises(DimensionMismatch):
             arrange(gen_random_block(cfg, seed=0), params, netcfg)
+
+
+def test_shape_checks_refuse_with_typed_errors():
+    with pytest.raises(DimensionMismatch, match=r"^10 parameters, shapes need 4$"):
+        NetworkParams(np.zeros(10), [(2, 2)])
+    params = init_params(NET4, seed=0)
+    with pytest.raises(DimensionMismatch, match=r"^hidden states must be \(\*, 4\), got \(4, 3\)$"):
+        head_forward(np.zeros((4, 3)), params, NET4)
+    with pytest.raises(DimensionMismatch, match=r"^probability matrix must be 2-D, got shape \(4,\)$"):
+        seqgen_transform(np.zeros(4))
+    with pytest.raises(DimensionMismatch, match=r"^sequence matrix must be square, got \(3, 4\)$"):
+        combination_probability(np.zeros((3, 4)))
+    with pytest.raises(TooFewWordlines, match=r"^combination probabilities need at least 3 positions$"):
+        combination_probability(np.eye(2))
+    with pytest.raises(DimensionMismatch, match=r"^probability matrix must be square, got \(3, 4\)$"):
+        extract_permutation(np.zeros((3, 4)))
 
 
 class TestFlatParams:

@@ -20,7 +20,7 @@ from nandarrange.errors import LengthMismatch, LevelOutOfRange, TooFewWordlines
 from nandarrange.scoring import (
     _EXACT_BLOCK_CELLS,
     _block_width,
-    _gather,
+    gather_triples,
     score_table,
     tensor_build_count,
 )
@@ -184,22 +184,28 @@ class TestBlockScore:
         assert block_score(pattern, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_short_blocks(self):
+        short = BlockPattern(np.zeros((2, 1), dtype=np.uint8))
         with pytest.raises(TooFewWordlines):
-            block_score(BlockPattern(np.zeros((2, 1), dtype=np.uint8)), CFG)
+            block_score(short, CFG)
+        with pytest.raises(TooFewWordlines, match=r"^score tensor needs >= 3 wordlines, got 2$"):
+            build_score_tensor(short, CFG)
 
 
 def test_gather_refuses_a_non_contiguous_output():
     # A flat reshape of a strided output would be a copy, so the gathered
     # values would never reach it.
     table = np.arange(16**3, dtype=np.float64).reshape(16, 16, 16)
-    index = np.arange(12, dtype=np.uint16).reshape(3, 4)
+    cfg = ArchConfig(num_wordlines=5, cells_per_page=4)
+    x = np.random.default_rng(3).integers(0, 16, size=(5, 4), dtype=np.uint8)
     out = np.zeros((3, 8))[:, ::2]
     with pytest.raises(ValueError, match="C-contiguous"):
-        _gather(table, index, out)
+        gather_triples(table, BlockPattern(x), cfg, out)
     assert not out.any()
+    with pytest.raises(ValueError, match=r"C-contiguous \(3, 4\) array"):
+        gather_triples(table, BlockPattern(x), cfg, np.zeros((3, 5)))
     contiguous = np.empty((3, 4))
-    _gather(table, index, contiguous)
-    assert np.array_equal(contiguous, table.ravel()[index])
+    gather_triples(table, BlockPattern(x), cfg, contiguous)
+    assert np.array_equal(contiguous, table[x[:-2], x[1:-1], x[2:]])
 
 
 class TestScoreTensor:

@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -517,6 +519,39 @@ class TestSimulatedAnnealing:
         assert len(calls) >= schedule.iterations
         assert (slow.perm.order, slow.score.hex(), slow.evaluations) == (
             fast.perm.order, fast.score.hex(), fast.evaluations)
+
+    @pytest.mark.parametrize("slack", [1e11, 1e12])
+    @pytest.mark.parametrize("n, t0", [(8, None), (16, None), (64, None), (16, 1000.0)])
+    def test_band_decisions_match_the_reference(self, monkeypatch, slack, n, t0):
+        # A draw u in [exp((d - beta)/T), exp((d + beta)/T)) cannot be settled
+        # from the deltas and goes to the exact sums, reusing u. The default
+        # slack makes that band too thin to hit; these slacks widen it.
+        cfg = ArchConfig(num_wordlines=n, cells_per_page=64)
+        pattern = gen_random_block(cfg, seed=n)
+        schedule = AnnealSchedule(initial_temperature=t0, iterations=3000, seed=1)
+        order, score, count = _reference_simulated_annealing(pattern, cfg, schedule)
+        monkeypatch.setattr(solvers, "_SA_SLACK", slack)
+        lines, first = inspect.getsourcelines(solvers.simulated_annealing)
+        band_line = first + 1 + next(
+            k for k, line in enumerate(lines) if "elif u < exp((d + beta) / temp):" in line
+        )
+        code = solvers.simulated_annealing.__code__
+        band_hits = 0
+
+        def count_band(frame, event, arg):
+            nonlocal band_hits
+            band_hits += event == "line" and frame.f_lineno == band_line
+            return count_band
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: count_band if frame.f_code is code else None)
+        try:
+            result = simulated_annealing(pattern, cfg, schedule)
+        finally:
+            sys.settrace(previous)
+        assert band_hits > 0
+        assert (result.perm.order, result.score.hex(), result.evaluations) == (
+            order, score.hex(), count)
 
 
 @pytest.mark.parametrize("n", [3, 8, 64])
