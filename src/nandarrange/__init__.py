@@ -68,6 +68,12 @@ from .data_io import (
     write_mapping_table,
     write_pattern,
 )
-from .retention import RetentionConfig, measure_ber, read_back, simulate_retention
+from .retention import (
+    RetentionConfig,
+    channel_ber,
+    measure_ber,
+    read_back,
+    simulate_retention,
+)
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import numpy as np
 from . import data_io, neural, scoring, solvers
 from .core import ArchConfig, BlockPattern, apply_permutation, check_seed
 from .errors import ArrangeError, InvalidArgument, NonFiniteLoss
-from .retention import RetentionConfig, measure_ber, read_back, simulate_retention
+from .retention import RetentionConfig, channel_ber
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -163,7 +163,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_split(args) -> int:
-    paths, _ = _load_blocks(args.data_dir)
+    paths, blocks = _load_blocks(args.data_dir)
+    _arch_for(blocks)
     names = [Path(p).name for p in paths]
     train_idx, test_idx = data_io.split_indices(len(names), args.seed)
     manifest = {
@@ -280,8 +281,7 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         rcfg = replace(rcfg, seed=args.seed)
     score = scoring.block_score(pattern, cfg)
-    voltages = simulate_retention(pattern, cfg, rcfg)
-    ber = measure_ber(pattern, read_back(voltages))
+    ber = channel_ber(pattern, cfg, rcfg)
     print(f"score={score!r} ber={ber:.6f}")
     return EXIT_OK
 

@@ -29,10 +29,15 @@ ERASED = 0
 CHUNK_BYTES = 2**20
 
 
+def chunk_size(item_bytes: int) -> int:
+    """Items of ``item_bytes`` bytes that fit in CHUNK_BYTES, and at least one."""
+    return max(1, CHUNK_BYTES // item_bytes)
+
+
 def chunks(count: int, item_bytes: int):
-    """In-order slices of range(count), each of as many items of
-    ``item_bytes`` bytes as fit in CHUNK_BYTES, and at least one."""
-    size = max(1, CHUNK_BYTES // item_bytes)
+    """In-order slices of range(count), each of chunk_size(item_bytes) items
+    but the last."""
+    size = chunk_size(item_bytes)
     return (slice(start, min(start + size, count)) for start in range(0, count, size))
 
 

@@ -106,8 +106,9 @@ def pack_header(magic: bytes, fields: str, *values: int) -> bytes:
 
 def unpack_header(
     data: bytes, magic: bytes, fields: str, payload_size: Callable[..., int]
-) -> tuple[list[int], bytes]:
-    """Check the framing pack_header writes; return the header fields and payload.
+) -> tuple[list[int], memoryview]:
+    """Check the framing pack_header writes; return the header fields and a
+    view of the payload, so that no copy of it is made here.
 
     ``payload_size`` maps the header fields to the exact payload byte count
     (raising a CodecError for fields that describe no valid object).
@@ -124,7 +125,7 @@ def unpack_header(
     expected = header_len + payload_size(*values)
     if len(data) != expected:
         raise TruncatedFile(f"{magic!r} for {values} must be {expected} bytes, got {len(data)}")
-    return values, data[header_len:]
+    return values, memoryview(data)[header_len:]
 
 
 def write_mapping_table(perm: Permutation) -> bytes:

@@ -12,21 +12,31 @@ testable at desk scale; it is not a device model.
 Every per-cell quantity before the noise (saturation, neighbor pull,
 exposure, drift) is a function of the cell's (under, mid, up) level triple
 alone, so each is evaluated once on the 16^3 = 4,096 triples and gathered
-per cell by scoring.gather_triples. The only full-size arrays are that
-pass's uint16 triple index and each function's result (float64 voltages or
-exposure, uint8 read-back levels); the gather, the normal draw, the
-quantization and the bit count walk the block in chunks of core.CHUNK_BYTES
-at 8 bytes a cell (2^17 cells), so their temporaries stay within about 1 MiB.
+per cell by scoring.gather_triples. Every pass walks the cells in flat
+(row-major) chunks of core.CHUNK_BYTES at 8 bytes a cell (2^17 cells), so
+its temporaries stay within a few MiB; the only full-size arrays are each
+function's result (float64 voltages or exposure, uint8 read-back levels).
+channel_ber reads back each chunk of voltages as it is made, so the BER of
+a channel run needs no full-size array at all.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LEVELS, ArchConfig, BlockPattern, check_seed, chunks
+from .core import (
+    LEVELS,
+    ArchConfig,
+    BlockPattern,
+    check_seed,
+    chunk_size,
+    chunks,
+    validate_pattern,
+)
 from .errors import DimensionMismatch, InvalidArgument
 from .data_io import GRAY_TABLE
 from .scoring import gather_triples, score_table
@@ -82,9 +92,70 @@ def cell_exposure(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     have no triple and get exposure 0. Uses alpha-normalized scores so the
     exposure is invariant to the score-range coefficient.
     """
+    validate_pattern(pattern, cfg)
+    table = _exposure_table(cfg)
     exposure = np.zeros(pattern.cells.shape, dtype=np.float64)
-    gather_triples(_exposure_table(cfg), pattern, cfg, exposure[1:-1])
+    interior = exposure[1:-1].reshape(-1)
+    index = np.empty(min(interior.size, chunk_size(8)), dtype=np.uint16)
+    for part in chunks(interior.size, 8):
+        gather_triples(table, pattern, cfg, part.start, interior[part], index)
     return exposure
+
+
+def _drifted_levels(cfg: ArchConfig, rcfg: RetentionConfig) -> np.ndarray:
+    """16x16x16 drifted level of the middle cell of every level triple."""
+    under, mid, up = np.indices((LEVELS, LEVELS, LEVELS), dtype=np.float64)
+    rate = rcfg.coupling * rcfg.time
+    saturation = 1.0 + rcfg.saturation_gain * mid / (LEVELS - 1)
+    pull = (0.0 + cfg.k1 * (up - mid)) + cfg.k2 * (under - mid)
+    response = np.clip(
+        (_exposure_table(cfg) - EXPOSURE_THRESHOLD) / (1.0 - EXPOSURE_THRESHOLD), 0.0, 1.0
+    )
+    return mid + rate * saturation * np.sign(pull) * FULL_EXPOSURE_DRIFT * response
+
+
+def _voltage_chunks(
+    pattern: BlockPattern,
+    cfg: ArchConfig,
+    rcfg: RetentionConfig,
+    voltages: np.ndarray | None = None,
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (part, values): the read voltages of the flat (row-major) cells
+    ``part``, for each core.chunks run of cells in order.
+
+    Edge rows read their levels, interior cells gather their drifted level,
+    then the run's noise is drawn. Every run continues the same PCG64 stream,
+    and standard_normal scaled by sigma is bit for bit rng.normal(0, sigma),
+    so the values equal one whole-block draw. ``values`` is a view of
+    ``voltages``, a C-contiguous N x C float64 array, when one is given, and
+    of one reused buffer otherwise, valid until the next run.
+    """
+    validate_pattern(pattern, cfg)
+    table = _drifted_levels(cfg, rcfg)
+    cells = pattern.cells.reshape(-1)
+    size, c = cells.size, pattern.cells_per_page
+    width = min(size, chunk_size(8))
+    flat = np.empty(width) if voltages is None else voltages.reshape(-1)
+    index = np.empty(width, dtype=np.uint16)
+    if rcfg.noise_sigma > 0:
+        rng = np.random.Generator(np.random.PCG64(rcfg.seed))
+        noise = np.empty(width)
+    for part in chunks(size, 8):
+        values = flat[part] if voltages is not None else flat[: part.stop - part.start]
+        # Cells part.start .. lo lie in the top edge row, hi .. part.stop in the bottom one.
+        lo = min(max(part.start, c), part.stop)
+        hi = max(min(part.stop, size - c), lo)
+        head, tail = lo - part.start, hi - part.start
+        values[:head] = cells[part.start : lo]
+        if hi > lo:
+            gather_triples(table, pattern, cfg, lo - c, values[head:tail], index)
+        values[tail:] = cells[hi : part.stop]
+        if rcfg.noise_sigma > 0:
+            draw = noise[: values.size]
+            rng.standard_normal(out=draw)
+            draw *= rcfg.noise_sigma
+            values += draw
+        yield part, values
 
 
 def simulate_retention(
@@ -102,28 +173,32 @@ def simulate_retention(
     The drifted level is a function of the cell's level triple alone, so it
     is computed once for each of the 4,096 triples and gathered per cell;
     each entry gets the same float operations, in the same order, as a
-    per-cell evaluation of the formula above. The noise is drawn one chunk
-    of cells at a time; each draw continues the same PCG64 stream, so the
-    voltages equal those of one whole-block draw bit for bit.
+    per-cell evaluation of the formula above. The cells are walked in chunks
+    written straight into the returned array, each drawing its noise from
+    the same PCG64 stream, so the voltages equal those of one whole-block
+    draw bit for bit.
     """
-    under, mid, up = np.indices((LEVELS, LEVELS, LEVELS), dtype=np.float64)
-    rate = rcfg.coupling * rcfg.time
-    saturation = 1.0 + rcfg.saturation_gain * mid / (LEVELS - 1)
-    pull = (0.0 + cfg.k1 * (up - mid)) + cfg.k2 * (under - mid)
-    response = np.clip(
-        (_exposure_table(cfg) - EXPOSURE_THRESHOLD) / (1.0 - EXPOSURE_THRESHOLD), 0.0, 1.0
-    )
-    drift = rate * saturation * np.sign(pull) * FULL_EXPOSURE_DRIFT * response
-
     voltages = np.empty(pattern.cells.shape, dtype=np.float64)
-    gather_triples(mid + drift, pattern, cfg, voltages[1:-1])
-    voltages[[0, -1]] = pattern.cells[[0, -1]]
-    if rcfg.noise_sigma > 0:
-        rng = np.random.Generator(np.random.PCG64(rcfg.seed))
-        flat = voltages.reshape(-1)
-        for part in chunks(flat.size, 8):
-            flat[part] += rng.normal(0.0, rcfg.noise_sigma, size=flat[part].size)
+    for _ in _voltage_chunks(pattern, cfg, rcfg, voltages):
+        pass
     return voltages
+
+
+def _nearest_levels(voltages: np.ndarray) -> np.ndarray:
+    """uint8 levels of a run of voltages, quantized as read_back documents."""
+    work = np.add(voltages, 0.5, dtype=np.float64)
+    if np.isnan(work).any():
+        raise InvalidArgument("voltages hold NaN, which has no nearest level")
+    np.floor(work, out=work)
+    np.clip(work, 0, LEVELS - 1, out=work)
+    return work.astype(np.uint8)
+
+
+def _bit_flips(original: np.ndarray, readback: np.ndarray) -> int:
+    """Differing Gray-coded bits between two equal runs of levels 0..15."""
+    index = original.astype(np.uint8) << 4
+    index |= readback.astype(np.uint8, copy=False)
+    return int(np.take(_BIT_FLIPS, index).sum())
 
 
 def read_back(voltages: np.ndarray) -> BlockPattern:
@@ -136,12 +211,7 @@ def read_back(voltages: np.ndarray) -> BlockPattern:
     levels = np.empty(voltages.shape, dtype=np.uint8)
     flat_voltages, flat_levels = voltages.reshape(-1), levels.reshape(-1)
     for part in chunks(flat_levels.size, 8):
-        chunk = np.add(flat_voltages[part], 0.5, dtype=np.float64)
-        if np.isnan(chunk).any():
-            raise InvalidArgument("voltages hold NaN, which has no nearest level")
-        np.floor(chunk, out=chunk)
-        np.clip(chunk, 0, LEVELS - 1, out=chunk)
-        flat_levels[part] = chunk
+        flat_levels[part] = _nearest_levels(flat_voltages[part])
     return BlockPattern(levels)
 
 
@@ -161,9 +231,22 @@ def measure_ber(original: BlockPattern, readback: BlockPattern) -> float:
             f"patterns of shape {original.cells.shape} hold no cells, so no bit error rate"
         )
     flat_original, flat_readback = original.cells.reshape(-1), readback.cells.reshape(-1)
-    flipped = 0
-    for part in chunks(flat_original.size, 8):
-        index = flat_original[part].astype(np.uint8) << 4
-        index |= flat_readback[part].astype(np.uint8, copy=False)
-        flipped += int(np.take(_BIT_FLIPS, index).sum())
+    flipped = sum(
+        _bit_flips(flat_original[part], flat_readback[part])
+        for part in chunks(flat_original.size, 8)
+    )
     return flipped / (BITS_PER_CELL * original.cells.size)
+
+
+def channel_ber(pattern: BlockPattern, cfg: ArchConfig, rcfg: RetentionConfig) -> float:
+    """measure_ber(pattern, read_back(simulate_retention(pattern, cfg, rcfg))),
+    bit for bit, without the N x C voltages: each chunk of voltages is read
+    back and compared as it is made, so memory stays within a few chunks
+    (about 5 MiB at the default budget) whatever N and C.
+    """
+    cells = pattern.cells.reshape(-1)
+    flipped = sum(
+        _bit_flips(cells[part], _nearest_levels(values))
+        for part, values in _voltage_chunks(pattern, cfg, rcfg)
+    )
+    return flipped / (BITS_PER_CELL * cells.size)

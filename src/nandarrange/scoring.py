@@ -5,8 +5,9 @@ level, the levels of its vertical neighbors on the same bitline, and an
 erase-adjacency coupling coefficient. Block scores sum the interior wordline
 triples only: edge wordlines lack one neighbor, so exactly N-2 triples exist
 and the block score decomposes over consecutive triples of any arrangement.
-The per-cell gathers and the score tensor's column blocks walk the block in
-chunks of the one working-set budget, core.CHUNK_BYTES.
+The per-cell gathers, the leaves of the block score's sum and the score
+tensor's column blocks are sized from the one working-set budget,
+core.CHUNK_BYTES, so no pass holds an array of the block's size in floats.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ERASED, LEVELS, ArchConfig, BlockPattern, chunks, validate_pattern
+from .core import ERASED, LEVELS, ArchConfig, BlockPattern, chunk_size, validate_pattern
 from .errors import LengthMismatch, LevelOutOfRange, TooFewWordlines
 
 _tensor_builds = 0
@@ -97,51 +98,84 @@ def page_triple_score(
 
 
 def gather_triples(
-    table: np.ndarray, pattern: BlockPattern, cfg: ArchConfig, out: np.ndarray
+    table: np.ndarray,
+    pattern: BlockPattern,
+    cfg: ArchConfig,
+    start: int,
+    out: np.ndarray,
+    index: np.ndarray,
 ) -> None:
-    """out[t, i] = table[x[t, i], x[t+1, i], x[t+2, i]] over the interior cells.
+    """out[k] = table[x[s], x[s + C], x[s + 2C]] for s = start + k.
 
     ``table`` is any 16x16x16 per-triple table indexed [under, mid, up], x is
-    the validated pattern's cells, and ``out`` is (N-2) x C. The triples are
-    packed into one whole-block uint16 index, under << 8 | mid << 4 | up,
-    built in place from the cells so no converted copy of the block exists
-    beside it. take converts its index to intp first, so the gather walks the
-    index in chunks charged 8 bytes a cell against core.CHUNK_BYTES; the index
-    is in range by construction, and mode="clip" keeps take from buffering a
-    copy of its output. ``out`` must be a C-contiguous (N-2) x C array, so
-    that its flat reshape is a view the chunks write into; any other ``out``
-    raises ValueError before anything is written.
+    the validated pattern's cells in flat (row-major) order, and s runs over
+    the interior cells 0 .. (N-2) C in the same order: interior cell s is the
+    middle of the vertical triple (x[s], x[s + C], x[s + 2C]), so any run of
+    interior cells reads three contiguous runs of the cells. The triples are
+    packed as under << 8 | mid << 4 | up into ``index``, a reused uint16
+    buffer at least as long as ``out``, and read by one take. take converts
+    its index to intp first, 8 bytes a cell, so callers pass runs of about
+    core.CHUNK_BYTES // 8 cells; the index is in range by construction, and
+    mode="clip" keeps take from buffering a copy of its output. ``out`` must
+    be a one-dimensional C-contiguous run inside the interior, or ValueError
+    is raised before anything is written.
     """
     validate_pattern(pattern, cfg)
-    cells = pattern.cells
-    if out.shape != cells[2:].shape or not out.flags.c_contiguous:
-        raise ValueError(f"gather output must be a C-contiguous {cells[2:].shape} array")
-    index = np.left_shift(cells[:-2], 4, dtype=np.uint16, casting="unsafe")
-    np.bitwise_or(index, cells[1:-1], out=index, casting="unsafe")
+    cells = pattern.cells.reshape(-1)
+    c = pattern.cells_per_page
+    stop = start + out.size
+    if out.ndim != 1 or not out.flags.c_contiguous or index.size < out.size:
+        raise ValueError("gather output must be a one-dimensional C-contiguous array "
+                         "no longer than its index buffer")
+    if not 0 <= start <= stop <= cells.size - 2 * c:
+        raise ValueError(
+            f"interior cells {start}..{stop} outside 0..{cells.size - 2 * c}"
+        )
+    index = index[: out.size]
+    np.left_shift(cells[start:stop], 4, out=index, dtype=np.uint16, casting="unsafe")
+    np.bitwise_or(index, cells[start + c : stop + c], out=index, casting="unsafe")
     index <<= 4
-    np.bitwise_or(index, cells[2:], out=index, casting="unsafe")
-    flat_index = index.reshape(-1)
-    flat_out = out.reshape(-1)
-    for part in chunks(flat_index.size, 8):
-        np.take(table, flat_index[part], out=flat_out[part], mode="clip")
+    np.bitwise_or(index, cells[start + 2 * c : stop + 2 * c], out=index, casting="unsafe")
+    np.take(table, index, out=out, mode="clip")
+
+
+# numpy's pairwise sum adds runs of at most this many values in one loop.
+_PAIRWISE_BLOCK = 128
 
 
 def block_score(pattern: BlockPattern, cfg: ArchConfig) -> float:
     """Total migration score S_T: the sum over the N-2 interior wordline triples.
 
-    The values fill the interior rows of one N x C array, summed by a single
-    ``sum``: numpy's pairwise order over them pins the result's bits, which a
-    chunked sum would change. N x C is the size of the channel's voltages, so
-    glibc malloc reuses the space either frees for the other; an (N-2) x C
-    array raised the paper-arrange benchmark's peak RSS from 72 to 88 MiB.
+    The result is the bits of one ``np.sum`` over the (N-2) x C interior cell
+    scores, without that array. numpy sums a contiguous float64 run by a fixed
+    pairwise tree (Higham, "The accuracy of floating point summation", 1993):
+    a node of n > 128 values splits at n2 = n // 2 - (n // 2) % 8, and each
+    subtree's sum is exactly np.sum of its own range. So the walk mirrors
+    that split down to nodes of at most max(core.CHUNK_BYTES // 8, 128)
+    values, gathers each such leaf into one reused float64 buffer, sums it
+    with np.sum, and adds the leaf sums up the same tree. The 128 floor makes
+    every node numpy sums without splitting a leaf, whatever the budget.
+    Memory is the leaf buffer, its uint16 index and take's intp copy of it:
+    about 2.25 MiB at the default budget, whatever N and C.
     """
     if pattern.num_wordlines < 3:
         raise TooFewWordlines(
             f"block score needs >= 3 wordlines, got {pattern.num_wordlines}"
         )
-    values = np.empty(pattern.cells.shape, dtype=np.float64)
-    gather_triples(score_table(cfg), pattern, cfg, values[1:-1])
-    return float(values[1:-1].sum())
+    table = score_table(cfg)
+    count = (pattern.num_wordlines - 2) * pattern.cells_per_page
+    leaf = max(chunk_size(8), _PAIRWISE_BLOCK)
+    values = np.empty(min(count, leaf), dtype=np.float64)
+    index = np.empty(values.size, dtype=np.uint16)
+
+    def tree_sum(start: int, n: int) -> np.float64:
+        if n <= leaf:
+            gather_triples(table, pattern, cfg, start, values[:n], index)
+            return values[:n].sum()
+        half = n // 2 - n // 2 % 8
+        return tree_sum(start, half) + tree_sum(start + half, n - half)
+
+    return float(tree_sum(0, count))
 
 
 # Column blocks of the score-tensor build hold at most this many cells, so
@@ -152,7 +186,7 @@ _EXACT_BLOCK_CELLS = 16_384
 def _block_width(num_wordlines: int) -> int:
     """Cells per column block of the score-tensor build at N wordlines, each
     charged its 4 N^2 bytes of the float32 block buffer."""
-    return next(chunks(_EXACT_BLOCK_CELLS, 4 * num_wordlines**2)).stop
+    return min(_EXACT_BLOCK_CELLS, chunk_size(4 * num_wordlines**2))
 
 
 def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:

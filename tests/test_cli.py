@@ -413,6 +413,20 @@ class TestSimulate:
         assert mapped == "score=878817862.6 ber=0.195797\n"
         assert unmapped == "score=877610198.2 ber=0.195980\n"
 
+    def test_paper_scale_commands_hold_no_block_sized_float_array(self, tmp_path, capsys, peak_bytes):
+        # One 16 x 147,456 float64 array is 18 MiB, so any one of them
+        # breaks the fence; the uint8 block itself is 2.25 MiB.
+        data = gen_dataset(tmp_path, capsys, blocks=1, wordlines=16, cells=147_456, seed=7)
+        block = str(next(data.glob("*.pdap")))
+        greedy_map = str(tmp_path / "greedy.pdam")
+        fence = 12 * 2**20
+        arrange = ["arrange", "--in", block, "--solver", "greedy", "--out-map", greedy_map]
+        assert peak_bytes(main, arrange) < fence
+        assert peak_bytes(main, ["simulate", "--in", block, "--map", greedy_map]) < fence
+        arranged, simulated = capsys.readouterr().out.splitlines()
+        score = re.search(r"arranged=(\S+)", arranged).group(1)
+        assert re.fullmatch(rf"score={re.escape(score)} ber=0\.\d{{6}}", simulated)
+
     def test_non_bijective_map_at_the_format_limit_exits_2_briefly(self, tmp_path, capsys):
         data = gen_dataset(tmp_path, capsys, blocks=1, wordlines=5, cells=8)
         bad = tmp_path / "zeros.pdam"
@@ -578,7 +592,7 @@ def test_empty_data_dir_exits_2(tmp_path, capsys, command):
     assert (code, out, err) == (2, "", f"error: no .pdap files found in {tmp_path}\n")
 
 
-@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("command", ["split", "train", "compare"])
 def test_mixed_geometry_dataset_exits_1(tmp_path, capsys, command):
     save_pattern(tmp_path / "a.pdap", BlockPattern(np.zeros((4, 8), dtype=np.uint8)))
     save_pattern(tmp_path / "b.pdap", BlockPattern(np.zeros((5, 8), dtype=np.uint8)))

@@ -12,6 +12,7 @@ from nandarrange import (
     apply_permutation,
     block_score,
     build_score_tensor,
+    channel_ber,
     exhaustive_best,
     gen_random_block,
     greedy_arrange,
@@ -257,6 +258,20 @@ def _chunk_lengths(monkeypatch, module):
     return walks
 
 
+def _gather_runs(monkeypatch):
+    """Record (start, length) of every gather_triples run, from either module."""
+    runs = []
+    gather = scoring.gather_triples
+
+    def recording(table, pattern, cfg, start, out, index):
+        runs.append((start, out.size))
+        gather(table, pattern, cfg, start, out, index)
+
+    monkeypatch.setattr(scoring, "gather_triples", recording)
+    monkeypatch.setattr(retention, "gather_triples", recording)
+    return runs
+
+
 class TestChunkSizesAtBenchmarkShapes:
     # The default budget keeps every pass's chunks at the sizes the benchmark
     # shapes were measured with. The tensor build's column widths are pinned
@@ -264,12 +279,26 @@ class TestChunkSizesAtBenchmarkShapes:
     def test_cell_passes_walk_2_17_cells(self, monkeypatch):
         cfg = ArchConfig(num_wordlines=4, cells_per_page=2**17)
         block = gen_random_block(cfg, seed=1)
-        gathers = _chunk_lengths(monkeypatch, scoring)
+        runs = _gather_runs(monkeypatch)
         cell_passes = _chunk_lengths(monkeypatch, retention)
         block_score(block, cfg)
-        measure_ber(block, read_back(simulate_retention(block, cfg, RetentionConfig(seed=1))))
-        assert gathers == [[2**17, 2**17]] * 2  # block_score, then the drift gather
-        assert cell_passes == [[2**17] * 4] * 3  # noise, read_back, measure_ber
+        assert runs == [(0, 2**17), (2**17, 2**17)]  # the summation tree's two leaves
+        runs.clear()
+        rcfg = RetentionConfig(seed=1)
+        ber = channel_ber(block, cfg, rcfg)
+        assert ber == measure_ber(block, read_back(simulate_retention(block, cfg, rcfg)))
+        # Rows 0 and 3 are edges; rows 1 and 2 are one chunk each, in both
+        # voltage walks.
+        assert runs == [(0, 2**17), (2**17, 2**17)] * 2
+        # channel_ber's voltages, simulate_retention's, read_back, measure_ber
+        assert cell_passes == [[2**17] * 4] * 4
+
+    def test_block_score_sums_16_leaves_at_paper_scale(self, monkeypatch):
+        # 14 interior rows of 147,456 cells split four times, at multiples of 8.
+        cfg = ArchConfig(num_wordlines=16, cells_per_page=147_456)
+        runs = _gather_runs(monkeypatch)
+        block_score(gen_random_block(cfg, seed=1), cfg)
+        assert runs == [(129_024 * k, 129_024) for k in range(16)]
 
     def test_greedy_walks_1024_pairs_at_n64(self, monkeypatch):
         walks = _chunk_lengths(monkeypatch, solvers)
@@ -309,6 +338,7 @@ def _every_chunked_pass(cells):
         "voltages": voltages,
         "readback": readback.cells,
         "ber": measure_ber(block, readback).hex(),
+        "channel_ber": channel_ber(block, cfg, RetentionConfig(seed=21)).hex(),
         "solvers": [(r.perm.order, r.score.hex(), r.evaluations) for r in results],
     }
 
@@ -321,6 +351,7 @@ def test_every_budget_gives_the_default_outputs(kind):
     if kind == "identical_rows":
         cells = np.tile(cells[0], (7, 1))
     expected = _every_chunked_pass(cells)
+    assert expected["channel_ber"] == expected["ber"]
     if kind == "identical_rows":
         assert [order for order, _, _ in expected["solvers"][::2]] == [tuple(range(7))] * 2
     for budget in (1, 56, 4096):

@@ -209,6 +209,16 @@ class TestPatternFile:
         with pytest.raises(TruncatedFile):
             read_pattern(data[:-1])
 
+    def test_reading_copies_the_payload_once(self, peak_bytes):
+        # BlockPattern's own copy is the one full-size array; a bytes slice of
+        # the payload before it would double the peak (4.5 MiB here).
+        cfg = ArchConfig(num_wordlines=16, cells_per_page=147_456)
+        block = gen_random_block(cfg, seed=4)
+        data = write_pattern(block)
+        payload = cfg.num_wordlines * cfg.cells_per_page
+        assert peak_bytes(read_pattern, data) < payload + 2**18
+        assert np.array_equal(read_pattern(data).cells, block.cells)
+
 
 @given(st.integers(3, 8), st.integers(1, 6), st.integers(0, 2**31 - 1))
 @settings(max_examples=60)

@@ -9,11 +9,13 @@ from nandarrange import (
     BlockPattern,
     RetentionConfig,
     block_score,
+    channel_ber,
     gen_random_block,
     measure_ber,
     read_back,
     simulate_retention,
 )
+from nandarrange import core
 from nandarrange.core import LEVELS, validate_pattern
 from nandarrange.data_io import GRAY_TABLE
 from nandarrange.errors import DimensionMismatch, InvalidArgument, LevelOutOfRange
@@ -376,3 +378,33 @@ def test_channel_is_bit_identical_to_per_cell_reference(case):
     assert np.array_equal(cell_exposure(pattern, cfg), _reference_cell_exposure(pattern, cfg))
     readback = read_back(voltages)
     assert measure_ber(pattern, readback) == _reference_measure_ber(pattern, readback)
+
+
+@given(channel_cases(), st.sampled_from([1, 56, 4096, core.CHUNK_BYTES]))
+@settings(max_examples=100, deadline=None)
+def test_channel_ber_equals_the_whole_block_path(case, budget):
+    # Voltages read back and compared chunk by chunk, at every budget, give
+    # the bits of the BER of the whole voltages array.
+    pattern, cfg, rcfg = case
+    expected = measure_ber(pattern, read_back(simulate_retention(pattern, cfg, rcfg)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "CHUNK_BYTES", budget)
+        got = channel_ber(pattern, cfg, rcfg)
+    assert got.hex() == expected.hex()
+
+
+class TestChannelBer:
+    def test_validates_pattern_against_config(self):
+        with pytest.raises(DimensionMismatch):
+            channel_ber(BlockPattern(np.zeros((4, 1), dtype=np.uint8)), CFG3, RetentionConfig())
+
+    def test_memory_is_bounded_at_paper_scale(self, peak_bytes):
+        # A few 2^17-cell chunks (voltages, noise, index and the read-back
+        # temporaries), where the whole-block path holds the N x C float64
+        # voltages (18 MiB here) and the uint8 levels twice.
+        cfg = ArchConfig(num_wordlines=16, cells_per_page=147_456)
+        block = gen_random_block(cfg, seed=5)
+        rcfg = RetentionConfig(seed=5)
+        assert peak_bytes(channel_ber, block, cfg, rcfg) < 8 * 2**20
+        expected = measure_ber(block, read_back(simulate_retention(block, cfg, rcfg)))
+        assert channel_ber(block, cfg, rcfg).hex() == expected.hex()

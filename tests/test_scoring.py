@@ -192,20 +192,31 @@ class TestBlockScore:
 
 
 def test_gather_refuses_a_non_contiguous_output():
-    # A flat reshape of a strided output would be a copy, so the gathered
-    # values would never reach it.
+    # take would fill a strided output through a hidden copy of it, so the
+    # gather refuses one, and any run outside the interior, before writing.
     table = np.arange(16**3, dtype=np.float64).reshape(16, 16, 16)
     cfg = ArchConfig(num_wordlines=5, cells_per_page=4)
     x = np.random.default_rng(3).integers(0, 16, size=(5, 4), dtype=np.uint8)
-    out = np.zeros((3, 8))[:, ::2]
+    index = np.empty(12, dtype=np.uint16)
+    out = np.zeros(24)[::2]
     with pytest.raises(ValueError, match="C-contiguous"):
-        gather_triples(table, BlockPattern(x), cfg, out)
+        gather_triples(table, BlockPattern(x), cfg, 0, out, index)
     assert not out.any()
-    with pytest.raises(ValueError, match=r"C-contiguous \(3, 4\) array"):
-        gather_triples(table, BlockPattern(x), cfg, np.zeros((3, 5)))
-    contiguous = np.empty((3, 4))
-    gather_triples(table, BlockPattern(x), cfg, contiguous)
-    assert np.array_equal(contiguous, table[x[:-2], x[1:-1], x[2:]])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        gather_triples(table, BlockPattern(x), cfg, 0, np.zeros((3, 4)), index)
+    with pytest.raises(ValueError, match="index buffer"):
+        gather_triples(table, BlockPattern(x), cfg, 0, np.zeros(12), index[:11])
+    with pytest.raises(ValueError, match=r"^interior cells 5\.\.13 outside 0\.\.12$"):
+        gather_triples(table, BlockPattern(x), cfg, 5, np.zeros(8), index)
+    with pytest.raises(ValueError, match=r"^interior cells -1\.\.1 outside 0\.\.12$"):
+        gather_triples(table, BlockPattern(x), cfg, -1, np.zeros(2), index)
+    expected = table[x[:-2], x[1:-1], x[2:]].reshape(-1)
+    contiguous = np.empty(12)
+    gather_triples(table, BlockPattern(x), cfg, 0, contiguous, index)
+    assert np.array_equal(contiguous, expected)
+    run = np.empty(5)  # interior cells 3 to 7, across the end of the first row
+    gather_triples(table, BlockPattern(x), cfg, 3, run, index)
+    assert np.array_equal(run, expected[3:8])
 
 
 class TestScoreTensor:
@@ -291,6 +302,63 @@ def test_tensor_and_block_score_are_bit_identical_to_float_references(case):
     pattern, cfg = case
     assert np.array_equal(build_score_tensor(pattern, cfg), _reference_matmul_tensor(pattern, cfg))
     assert block_score(pattern, cfg).hex() == _reference_block_score(pattern, cfg).hex()
+
+
+# Budgets of 1 B and 56 B both give the 128-value floor of the leaf size,
+# 4 KiB gives 512 values and the default 2^17.
+SUM_BUDGETS = [1, 56, 4096, core.CHUNK_BYTES]
+
+
+@st.composite
+def summation_cases(draw):
+    """Blocks whose (N-2) C interior cells fall near a multiple of 8, near
+    numpy's 128-value pairwise block, or near a small multiple of the leaf
+    size of the drawn budget."""
+    budget = draw(st.sampled_from(SUM_BUDGETS))
+    leaf = max(budget // 8, 128)
+    target = draw(st.sampled_from([8 * draw(st.integers(1, 40)), 128, 256, leaf, 2 * leaf, 3 * leaf]))
+    rows = draw(st.sampled_from([1, 2, 3, 5]))
+    c = max(1, (target + draw(st.integers(-9, 9))) // rows)
+    cfg = ArchConfig(
+        num_wordlines=rows + 2,
+        cells_per_page=c,
+        k1=draw(positive_coefficient),
+        k2=draw(positive_coefficient),
+        alpha=draw(positive_coefficient),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = np.where(rng.random((rows + 2, c)) < 0.4, 0, rng.integers(1, 16, size=(rows + 2, c)))
+    return BlockPattern(cells.astype(np.uint8)), cfg, budget
+
+
+@given(summation_cases())
+@settings(max_examples=150, deadline=None)
+def test_block_score_equals_one_whole_block_sum(case):
+    # The leaf-by-leaf walk must give the bits of one np.sum over the
+    # (N-2) x C gathered scores, at every budget.
+    pattern, cfg, budget = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "CHUNK_BYTES", budget)
+        got = block_score(pattern, cfg)
+    assert got.hex() == _reference_block_score(pattern, cfg).hex()
+
+
+@pytest.mark.parametrize(
+    "n,c", [(3, 1), (3, 2**17 - 1), (3, 2**17), (3, 2**17 + 1), (4, 2**17), (5, 131_073), (16, 147_456)]
+)
+def test_block_score_equals_one_whole_block_sum_at_leaf_edges(n, c):
+    cfg = ArchConfig(num_wordlines=n, cells_per_page=c)
+    pattern = _erase_heavy_block(n, c, seed=n + c)
+    assert block_score(pattern, cfg).hex() == _reference_block_score(pattern, cfg).hex()
+
+
+def test_block_score_memory_is_independent_of_the_page(peak_bytes):
+    # One leaf of 2^17 values, its uint16 index and take's intp copy of the
+    # index; the whole-block gather held 14 * 147,456 float64 values (15.75
+    # MiB) and a uint16 index of them.
+    cfg = ArchConfig(num_wordlines=16, cells_per_page=147_456)
+    pattern = _erase_heavy_block(16, 147_456, seed=26)
+    assert peak_bytes(block_score, pattern, cfg) < 3 * 2**20
 
 
 @pytest.mark.parametrize("k1,k2,alpha", [(4.0, 1.0, 1.0), (2.5, 0.3, 2.0), (1.0, 7.0, 1.0)])
