@@ -92,7 +92,11 @@ class BlockPattern:
     """Immutable N x C matrix of program levels 0..15, wordline-major.
 
     The levels are checked here, once: any other value raises LevelOutOfRange
-    naming the first offending cell in row-major order."""
+    naming the first offending cell in row-major order. After the check, a
+    C-contiguous array that no array can write (see _unwritable) is kept as
+    it is, so a block read from file bytes, or made read-only by the
+    function that made it, is held once; any other input is copied into a
+    read-only array."""
 
     cells: np.ndarray
 
@@ -107,8 +111,9 @@ class BlockPattern:
             raise LevelOutOfRange(
                 f"cell ({row}, {col}) holds {int(arr[row, col])}, allowed range is 0..{LEVELS - 1}"
             )
-        arr = arr.copy()
-        arr.flags.writeable = False
+        if not (arr.flags.c_contiguous and _unwritable(arr)):
+            arr = arr.copy()
+            arr.flags.writeable = False
         object.__setattr__(self, "cells", arr)
 
     @property
@@ -118,6 +123,20 @@ class BlockPattern:
     @property
     def cells_per_page(self) -> int:
         return self.cells.shape[1]
+
+
+def _unwritable(arr: np.ndarray) -> bool:
+    """Whether no array can write ``arr``'s memory: ``arr`` and every array
+    it views are read-only, and that memory is owned by the last of them or
+    by an immutable bytes object."""
+    base = arr
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return False
+        base = base.base
+    if isinstance(base, memoryview):
+        base = base.obj
+    return base is None or isinstance(base, bytes)
 
 
 @dataclass(frozen=True)
@@ -179,7 +198,9 @@ def apply_permutation(pattern: BlockPattern, perm: Permutation) -> BlockPattern:
         raise DimensionMismatch(
             f"permutation length {len(perm)} != wordline count {pattern.num_wordlines}"
         )
-    return BlockPattern(pattern.cells[perm.as_array()])
+    cells = pattern.cells[perm.as_array()]
+    cells.flags.writeable = False
+    return BlockPattern(cells)
 
 
 def invert_permutation(perm: Permutation) -> Permutation:

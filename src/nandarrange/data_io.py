@@ -64,6 +64,7 @@ def gen_random_block(cfg: ArchConfig, seed: int) -> BlockPattern:
     check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     cells = rng.integers(0, LEVELS, size=(cfg.num_wordlines, cfg.cells_per_page), dtype=np.uint8)
+    cells.flags.writeable = False
     return BlockPattern(cells)
 
 
@@ -140,18 +141,28 @@ def read_mapping_table(data: bytes) -> MappingTable:
     return MappingTable(struct.unpack(f"<{n}H", payload))
 
 
-def write_pattern(pattern: BlockPattern) -> bytes:
+def _pattern_parts(pattern: BlockPattern) -> tuple[bytes, np.ndarray]:
+    """The PDAP header and the C-contiguous uint8 cells that follow it; uint8
+    cells are not copied."""
     header = pack_header(PATTERN_MAGIC, "II", pattern.num_wordlines, pattern.cells_per_page)
-    return header + pattern.cells.astype(np.uint8).tobytes(order="C")
+    return header, pattern.cells.astype(np.uint8, copy=False)
+
+
+def write_pattern(pattern: BlockPattern) -> bytes:
+    return b"".join(_pattern_parts(pattern))
 
 
 def read_pattern(data: bytes) -> BlockPattern:
+    """Decode a PDAP file. The cells of a ``bytes`` file are a read-only view
+    of its payload, which the pattern keeps without a copy."""
     (n, c), payload = unpack_header(data, PATTERN_MAGIC, "II", lambda n, c: n * c)
     return BlockPattern(np.frombuffer(payload, dtype=np.uint8).reshape(n, c))
 
 
 def save_pattern(path: str | Path, pattern: BlockPattern) -> None:
-    Path(path).write_bytes(write_pattern(pattern))
+    """Write the header, then the cell buffer itself: no file-sized bytes is made."""
+    with open(path, "wb") as file:
+        file.writelines(_pattern_parts(pattern))
 
 
 def load_pattern(path: str | Path) -> BlockPattern:

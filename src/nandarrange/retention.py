@@ -15,9 +15,10 @@ alone, so each is evaluated once on the 16^3 = 4,096 triples and gathered
 per cell by scoring.gather_triples. Every pass walks the cells in flat
 (row-major) chunks of core.CHUNK_BYTES at 8 bytes a cell (2^17 cells), so
 its temporaries stay within a few MiB; the only full-size arrays are each
-function's result (float64 voltages or exposure, uint8 read-back levels).
-channel_ber reads back each chunk of voltages as it is made, so the BER of
-a channel run needs no full-size array at all.
+function's result (float64 voltages or exposure, uint8 read-back levels),
+and read_back hands its levels to BlockPattern read-only, so they are held
+once. channel_ber reads back each chunk of voltages in place as it is made,
+so the BER of a channel run needs no full-size array at all.
 """
 
 from __future__ import annotations
@@ -184,14 +185,15 @@ def simulate_retention(
     return voltages
 
 
-def _nearest_levels(voltages: np.ndarray) -> np.ndarray:
-    """uint8 levels of a run of voltages, quantized as read_back documents."""
-    work = np.add(voltages, 0.5, dtype=np.float64)
-    if np.isnan(work).any():
-        raise InvalidArgument("voltages hold NaN, which has no nearest level")
-    np.floor(work, out=work)
-    np.clip(work, 0, LEVELS - 1, out=work)
-    return work.astype(np.uint8)
+def _read_levels(values: np.ndarray, out: np.ndarray) -> None:
+    """Quantize a run of float64 voltages, which must hold no NaN, into the
+    uint8 run ``out`` as read_back documents, overwriting ``values``.
+
+    values + 0.5 is clipped to 0..15 and then cast, which truncates; on
+    0..15 that is floor, so this equals flooring before the clip."""
+    values += 0.5
+    np.clip(values, 0, LEVELS - 1, out=values)
+    np.copyto(out, values, casting="unsafe")
 
 
 def _bit_flips(original: np.ndarray, readback: np.ndarray) -> int:
@@ -210,8 +212,14 @@ def read_back(voltages: np.ndarray) -> BlockPattern:
     voltages = np.asarray(voltages)
     levels = np.empty(voltages.shape, dtype=np.uint8)
     flat_voltages, flat_levels = voltages.reshape(-1), levels.reshape(-1)
+    work = np.empty(min(flat_levels.size, chunk_size(8)))
     for part in chunks(flat_levels.size, 8):
-        flat_levels[part] = _nearest_levels(flat_voltages[part])
+        values = work[: part.stop - part.start]
+        np.copyto(values, flat_voltages[part])
+        if np.isnan(values).any():
+            raise InvalidArgument("voltages hold NaN, which has no nearest level")
+        _read_levels(values, flat_levels[part])
+    levels.flags.writeable = False
     return BlockPattern(levels)
 
 
@@ -241,12 +249,16 @@ def measure_ber(original: BlockPattern, readback: BlockPattern) -> float:
 def channel_ber(pattern: BlockPattern, cfg: ArchConfig, rcfg: RetentionConfig) -> float:
     """measure_ber(pattern, read_back(simulate_retention(pattern, cfg, rcfg))),
     bit for bit, without the N x C voltages: each chunk of voltages is read
-    back and compared as it is made, so memory stays within a few chunks
-    (about 5 MiB at the default budget) whatever N and C.
+    back in place into one reused uint8 buffer and compared as it is made,
+    so memory stays within a few chunks (about 4 MiB at the default budget)
+    whatever N and C. The voltages are levels, drifts and seeded noise,
+    never NaN, so read_back's NaN scan is skipped.
     """
     cells = pattern.cells.reshape(-1)
-    flipped = sum(
-        _bit_flips(cells[part], _nearest_levels(values))
-        for part, values in _voltage_chunks(pattern, cfg, rcfg)
-    )
+    levels = np.empty(min(cells.size, chunk_size(8)), dtype=np.uint8)
+    flipped = 0
+    for part, values in _voltage_chunks(pattern, cfg, rcfg):
+        read = levels[: values.size]
+        _read_levels(values, read)
+        flipped += _bit_flips(cells[part], read)
     return flipped / (BITS_PER_CELL * cells.size)

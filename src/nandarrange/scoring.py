@@ -216,17 +216,22 @@ def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
 
     The page is walked in column blocks of k = _block_width(N) cells (C if
     fewer). A block forms Q, then P, for all N^2 (a, b) pairs in one reused
-    (N, N, k) float32 buffer; a float32 matrix-vector product sums Q over the
-    block into a float64 (N, N) accumulator, and one (N^2, k) by (k, N)
-    float32 matmul adds the block's p into the float64 tensor.
+    (N, N, k) float32 buffer; a float32 reduction sums Q over the block into
+    a float64 (N, N) accumulator, and N float32 (N, k) by (k, N) matmuls, one
+    per under-page a, add the block's p into the float64 tensor. Each matmul
+    is N^2 k <= core.CHUNK_BYTES / 4 = 2^18 multiply-adds (unless one column
+    already passes the budget), which OpenBLAS 0.3.31 runs on the calling
+    thread; one (N^2, k) by (k, N) product per block woke its worker thread
+    and about doubled the build's CPU time for no wall-time gain.
 
     Exactness: every Q entry is an integer in [0, 256] and every P entry an
     integer in [-720, 0] (16 * 15 * 3), so any partial sum of a block, in any
     order, is an integer of magnitude at most 720 k < 2^24 for k <= 16,384:
-    the float32 block sums are exact whatever the BLAS blocking or thread
-    count. The float64 accumulators hold integers of magnitude below 4000 C,
-    far below 2^53 for any C a PDAP file can hold, so M is exact and rounding
-    happens only in the final combination with k1, k2 and alpha.
+    the float32 block sums are exact whatever the reduction order, BLAS
+    blocking or thread count. The float64 accumulators hold integers of
+    magnitude below 4000 C, far below 2^53 for any C a PDAP file can hold,
+    so M is exact and rounding happens only in the final combination with
+    k1, k2 and alpha.
 
     Memory is O(N^2 k + N^3) whatever C: the float32 block stays within
     core.CHUNK_BYTES (or one column), the matmul output is N^3 float32, and
@@ -241,14 +246,13 @@ def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     n, c = pattern.cells.shape
     width = min(_block_width(n), c)
     buffer = np.empty(n * n * width, dtype=np.float32)
-    ones = np.ones(width, dtype=np.float32)
-    products = np.empty((n * n, n), dtype=np.float32)
-    row_sums = np.zeros(n * n, dtype=np.float64)
+    products = np.empty((n, n, n), dtype=np.float32)
+    block_sums = np.empty((n, n), dtype=np.float32)
+    row_sums = np.zeros((n, n), dtype=np.float64)
     # Not np.zeros: its fresh calloc pages fault in during the first block's
     # add, which measured several times slower than this fill at N=64.
     tensor = np.empty((n, n, n), dtype=np.float64)
-    pair_sums = tensor.reshape(n * n, n)
-    pair_sums.fill(0.0)
+    tensor.fill(0.0)
     for start in range(0, c, width):
         levels = pattern.cells[:, start : start + width].astype(np.float32)
         k = levels.shape[1]
@@ -259,14 +263,14 @@ def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
         np.abs(block, out=block)
         np.subtract(LEVELS, block, out=block)
         block *= (LEVELS - levels)[None, :, :]
-        flat = block.reshape(n * n, k)
-        row_sums += flat @ ones[:k]
+        np.add.reduce(block, axis=2, out=block_sums)
+        row_sums += block_sums
         block *= (1 - erased)[None, :, :]
         block *= (2 * erased - 3)[:, None, :]
-        np.matmul(flat, erased.T, out=products)
-        pair_sums += products
+        np.matmul(block, erased.T, out=products)
+        tensor += products
     idx = np.arange(n)
-    row_terms = 5 * row_sums.reshape(n, n) + 3 * tensor[idx, :, idx]
+    row_terms = 5 * row_sums + 3 * tensor[idx, :, idx]
     scale = cfg.alpha * (cfg.k1 + cfg.k2)
     for b in range(n):
         pair = tensor[:, b, :] + row_terms[:, b, None]

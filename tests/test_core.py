@@ -234,6 +234,61 @@ def test_block_pattern_is_read_only():
         p.cells[0, 0] = 3
 
 
+class TestConstructorCopyRule:
+    # A pattern keeps the array it is given only when no array can write that
+    # memory; anything else is copied, so changing the source later leaves
+    # the pattern as it was checked.
+    def test_writeable_array_is_copied(self):
+        cells = np.zeros((3, 4), dtype=np.uint8)
+        p = BlockPattern(cells)
+        cells[1, 2] = 9
+        assert not p.cells.any()
+
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        cells = np.zeros((3, 4), dtype=np.uint8)
+        view = cells.view()
+        view.flags.writeable = False
+        p = BlockPattern(view)
+        cells[1, 2] = 9
+        assert not p.cells.any()
+
+    def test_read_only_view_of_a_bytearray_is_copied(self):
+        data = bytearray(12)
+        array = np.frombuffer(data, dtype=np.uint8)
+        array.flags.writeable = False
+        p = BlockPattern(array.reshape(3, 4))
+        data[6] = 9
+        assert not p.cells.any()
+
+    def test_unwritable_arrays_are_kept(self):
+        owned = np.arange(12, dtype=np.uint8).reshape(3, 4).copy()
+        owned.flags.writeable = False
+        assert BlockPattern(owned).cells is owned
+        frozen = np.frombuffer(bytes(range(12)), dtype=np.uint8).reshape(3, 4)
+        assert BlockPattern(frozen).cells is frozen
+
+    def test_strided_array_is_copied_contiguous(self):
+        owned = np.arange(24, dtype=np.uint8).reshape(3, 8) % 16
+        owned.flags.writeable = False
+        cells = BlockPattern(owned[:, ::2]).cells
+        assert cells.flags.c_contiguous and not cells.flags.writeable
+        assert np.array_equal(cells, owned[:, ::2])
+
+    def test_kept_arrays_are_checked_first(self):
+        frozen = np.frombuffer(bytes([0, 1, 2, 16, 4, 5]), dtype=np.uint8).reshape(3, 2)
+        with pytest.raises(LevelOutOfRange, match=r"^cell \(1, 1\) holds 16,"):
+            BlockPattern(frozen)
+
+    def test_apply_permutation_holds_one_copy_at_paper_scale(self, peak_bytes):
+        # The gathered rows are the pattern's cells; a second copy of them in
+        # BlockPattern would double the peak (4.50 MiB here).
+        n, c = 16, 147_456
+        block = gen_random_block(ArchConfig(num_wordlines=n, cells_per_page=c), seed=6)
+        perm = Permutation(tuple(reversed(range(n))))
+        assert peak_bytes(apply_permutation, block, perm) < n * c + 2**18
+        assert np.array_equal(apply_permutation(block, perm).cells, block.cells[::-1])
+
+
 @given(st.integers(0, 5000), st.integers(1, 3000), st.integers(0, 2**21))
 def test_chunks_split_the_range_in_order(count, item_bytes, budget):
     size = max(1, budget // item_bytes)

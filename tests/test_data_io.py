@@ -13,9 +13,11 @@ from nandarrange import (
     gen_random_block,
     gray_decode,
     gray_encode,
+    load_pattern,
     read_checkpoint,
     read_mapping_table,
     read_pattern,
+    save_pattern,
     split_dataset,
     split_indices,
     write_mapping_table,
@@ -82,6 +84,12 @@ class TestGenRandomBlock:
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidArgument, match="seed must be non-negative, got -1"):
             gen_random_block(ArchConfig(num_wordlines=4, cells_per_page=2), seed=-1)
+
+    def test_memory_holds_the_block_once_at_paper_scale(self, peak_bytes):
+        # The drawn levels are the pattern's cells; a second copy of them in
+        # BlockPattern would double the peak (4.50 MiB here).
+        cfg = ArchConfig(num_wordlines=16, cells_per_page=147_456)
+        assert peak_bytes(gen_random_block, cfg, 4) < 16 * 147_456 + 2**18
 
 
 class TestSplit:
@@ -195,10 +203,11 @@ class TestPatternFile:
         assert len(write_pattern(block)) == 13 + 5 * 9
 
     def test_cell_byte_out_of_range(self):
+        # The payload is kept uncopied, after the same level check.
         block = BlockPattern(np.zeros((3, 2), dtype=np.uint8))
         data = bytearray(write_pattern(block))
-        data[13] = 0x10
-        with pytest.raises(LevelOutOfRange):
+        data[13 + 3] = 0x10
+        with pytest.raises(LevelOutOfRange, match=r"^cell \(1, 1\) holds 16,"):
             read_pattern(bytes(data))
 
     def test_bad_magic_and_truncation(self):
@@ -209,15 +218,39 @@ class TestPatternFile:
         with pytest.raises(TruncatedFile):
             read_pattern(data[:-1])
 
-    def test_reading_copies_the_payload_once(self, peak_bytes):
-        # BlockPattern's own copy is the one full-size array; a bytes slice of
-        # the payload before it would double the peak (4.5 MiB here).
+    def test_reading_bytes_keeps_the_payload_uncopied(self, peak_bytes):
+        # The pattern's cells are a read-only view of the immutable file
+        # bytes; a copy of the payload would take 2.25 MiB here.
         cfg = ArchConfig(num_wordlines=16, cells_per_page=147_456)
         block = gen_random_block(cfg, seed=4)
         data = write_pattern(block)
-        payload = cfg.num_wordlines * cfg.cells_per_page
-        assert peak_bytes(read_pattern, data) < payload + 2**18
+        assert peak_bytes(read_pattern, data) < 2**18
         assert np.array_equal(read_pattern(data).cells, block.cells)
+
+    def test_reading_a_bytearray_copies_it(self):
+        data = bytearray(write_pattern(BlockPattern(np.zeros((3, 2), dtype=np.uint8))))
+        pattern = read_pattern(data)
+        data[13 + 3] = 9
+        assert not pattern.cells.any()
+
+    def test_file_codecs_hold_the_block_once_at_paper_scale(self, peak_bytes, tmp_path):
+        # save_pattern writes the header, then the uint8 cells themselves;
+        # load_pattern keeps the bytes it reads. A joined bytes object, or a
+        # copy of the payload, would each add 2.25 MiB here.
+        cfg = ArchConfig(num_wordlines=16, cells_per_page=147_456)
+        block = gen_random_block(cfg, seed=4)
+        path = tmp_path / "block.pdap"
+        size = cfg.num_wordlines * cfg.cells_per_page
+        assert peak_bytes(save_pattern, path, block) < 2**18
+        assert path.read_bytes() == write_pattern(block)
+        assert peak_bytes(write_pattern, block) < size + 2**18
+        assert peak_bytes(load_pattern, path) < size + 2**18
+        assert np.array_equal(load_pattern(path).cells, block.cells)
+
+    def test_int64_cells_are_written_as_bytes(self, tmp_path):
+        cells = np.arange(12, dtype=np.int64).reshape(3, 4)
+        save_pattern(tmp_path / "wide.pdap", BlockPattern(cells))
+        assert np.array_equal(load_pattern(tmp_path / "wide.pdap").cells, cells)
 
 
 @given(st.integers(3, 8), st.integers(1, 6), st.integers(0, 2**31 - 1))

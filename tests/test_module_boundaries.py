@@ -1,4 +1,5 @@
-"""Each module of the package uses only the public names of its siblings."""
+"""Each module of the package uses only the public names of its siblings, and
+only core makes or changes a BlockPattern past its constructor."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,61 @@ def test_the_guard_sees_both_kinds_of_crossing(tmp_path):
         (2, "from scoring import _cell_lut"),
         (4, "scoring._tensor_builds"),
     ]
+
+
+def _is_block_pattern(node):
+    return (isinstance(node, ast.Name) and node.id == "BlockPattern") or (
+        isinstance(node, ast.Attribute) and node.attr == "BlockPattern"
+    )
+
+
+def _constructor_bypasses(path):
+    """(line, text) of every call in the module at ``path`` that could make or
+    change a BlockPattern without its constructor's level check: a
+    ``__new__`` given BlockPattern, and an ``object.__setattr__`` on anything
+    but ``self`` or of a ``cells`` attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        method, args = node.func.attr, node.args
+        if method == "__new__" and any(_is_block_pattern(arg) for arg in args):
+            found.append((node.lineno, ast.unparse(node)))
+        elif (
+            method == "__setattr__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"
+            and (
+                not (args and isinstance(args[0], ast.Name) and args[0].id == "self")
+                or any(isinstance(arg, ast.Constant) and arg.value == "cells" for arg in args)
+            )
+        ):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_only_core_makes_a_block_pattern_past_its_constructor():
+    # BlockPattern may keep a caller's read-only array uncopied, so its level
+    # check must stay the only way a pattern's cells are set.
+    bypasses = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "core" and (found := _constructor_bypasses(path))
+    }
+    assert bypasses == {}
+
+
+def test_the_constructor_guard_sees_every_bypass(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import core\n"
+        "from .core import BlockPattern\n"
+        "p = object.__new__(BlockPattern)\n"
+        "q = core.BlockPattern.__new__(core.BlockPattern)\n"
+        "object.__setattr__(p, 'cells', None)\n"
+        "object.__setattr__(self, 'cells', None)\n"
+        "object.__setattr__(self, 'order', ())\n"
+        "r = object.__new__(dict)\n"
+    )
+    assert [line for line, _ in _constructor_bypasses(probe)] == [3, 4, 5, 6]

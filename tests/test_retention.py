@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nandarrange import (
     ArchConfig,
@@ -239,12 +240,41 @@ class TestReadBack:
         with pytest.raises(InvalidArgument):
             read_back(np.array([[1.0], [np.nan], [1.0]]))
 
+    @pytest.mark.parametrize("budget", [1, 56, core.CHUNK_BYTES])
+    def test_nan_is_rejected_in_any_chunk(self, monkeypatch, budget):
+        voltages = np.full((4, 9), 3.0)
+        voltages[3, 8] = np.nan  # in the last chunk at every budget
+        monkeypatch.setattr(core, "CHUNK_BYTES", budget)
+        with pytest.raises(InvalidArgument, match="NaN"):
+            read_back(voltages)
+
+    @given(
+        hnp.arrays(
+            st.sampled_from([np.float64, np.float32]),
+            st.tuples(st.integers(1, 6), st.integers(1, 9)),
+            elements=st.one_of(
+                st.floats(allow_nan=False, width=32),
+                st.sampled_from([-0.5, -0.0, 0.5, 14.5, 15.5, 15.499999999999998]),
+            ),
+        ),
+        st.sampled_from([1, 56, core.CHUNK_BYTES]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_one_whole_block_rounding(self, voltages, budget):
+        # Clipping before the cast equals the reference's floor before the
+        # clip, at halves, infinities and every chunking.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "CHUNK_BYTES", budget)
+            got = read_back(voltages).cells
+        assert np.array_equal(got, _reference_read_back(voltages))
+
     def test_memory_holds_only_the_levels_at_paper_scale(self, peak_bytes):
-        # The uint8 levels and BlockPattern's own copy of them are the only
-        # full-size arrays; a whole-block float64 pass would add N * C * 8.
+        # The uint8 levels, handed to BlockPattern read-only and kept by it,
+        # are the only full-size array; a copy of them would add N * C, and
+        # a whole-block float64 pass N * C * 8.
         n, c = 16, 147_456
         voltages = np.random.default_rng(7).normal(7.5, 5.0, size=(n, c))
-        assert peak_bytes(read_back, voltages) < 2 * n * c + 2 * 2**20
+        assert peak_bytes(read_back, voltages) < n * c + 2 * 2**20
         assert np.array_equal(read_back(voltages).cells, _reference_read_back(voltages))
 
 
@@ -391,6 +421,30 @@ def test_channel_ber_equals_the_whole_block_path(case, budget):
         patch.setattr(core, "CHUNK_BYTES", budget)
         got = channel_ber(pattern, cfg, rcfg)
     assert got.hex() == expected.hex()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e300, 1e308])
+@pytest.mark.parametrize("budget", [1, 56, core.CHUNK_BYTES])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_channel_ber_at_the_noise_extremes(sigma, budget, dtype):
+    # With no noise the voltages are the exact levels and drifts; sigma 1e300
+    # puts nearly every voltage far outside 0..15, and 1e308 overflows some
+    # to +-inf (numpy's overflow warning is silenced for that). The in-place
+    # read-back clamps them all as read_back does.
+    cfg = ArchConfig(num_wordlines=5, cells_per_page=37)
+    rng = np.random.default_rng(31)
+    cells = np.where(rng.random((5, 37)) < 0.4, 0, rng.integers(1, 16, size=(5, 37)))
+    pattern = BlockPattern(cells.astype(dtype))
+    rcfg = RetentionConfig(coupling=0.5, noise_sigma=sigma, seed=9)
+    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
+        patch.setattr(core, "CHUNK_BYTES", budget)
+        voltages = simulate_retention(pattern, cfg, rcfg)
+        expected = measure_ber(pattern, read_back(voltages))
+        got = channel_ber(pattern, cfg, rcfg)
+    assert got.hex() == expected.hex()
+    reference = BlockPattern(_reference_read_back(voltages))
+    assert expected.hex() == _reference_measure_ber(pattern, reference).hex()
+    assert np.isinf(voltages).any() == (sigma == 1e308)
 
 
 class TestChannelBer:

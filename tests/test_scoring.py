@@ -65,6 +65,22 @@ def _reference_matmul_tensor(pattern, cfg):
     return tensor
 
 
+def _reference_einsum_tensor(pattern, cfg):
+    """Slow reference: float64 np.einsum sums over the bitlines of the
+    coupling coefficient 5 - z_b (3 e_a + 3 e_c - 2 e_a e_c), split into the
+    part without e_c and the part that multiplies it."""
+    x = pattern.cells.astype(np.float64)
+    erased = (x == 0).astype(np.float64)
+    coupled = (1.0 - erased)[None, :, :]
+    q = (16.0 - np.abs(x[:, None, :] - x[None, :, :])) * (16.0 - x)[None, :, :]
+    outer = q * (5.0 - 3.0 * coupled * erased[:, None, :])
+    inner = q * coupled * (3.0 - 2.0 * erased[:, None, :])
+    m = np.einsum("abi->ab", outer)[:, :, None] - np.einsum("abi,ci->abc", inner, erased)
+    tensor = (cfg.k2 * m + cfg.k1 * m.transpose(2, 1, 0)) / (cfg.alpha * (cfg.k1 + cfg.k2))
+    tensor[_repeated_index_mask(pattern.num_wordlines)] = 0.0
+    return tensor
+
+
 def _reference_block_score(pattern, cfg):
     """Slow reference: indexes the score table with three N-2 x C arrays."""
     cells = pattern.cells
@@ -437,6 +453,30 @@ class TestColumnBlocks:
         for k1, k2, alpha in ((4.0, 1.0, 1.0), (2.5, 0.3, 2.0)):
             cfg = ArchConfig(num_wordlines=n, cells_per_page=c, k1=k1, k2=k2, alpha=alpha)
             assert np.array_equal(build_score_tensor(pattern, cfg), _reference_matmul_tensor(pattern, cfg))
+
+    @pytest.mark.parametrize(
+        "n,c,kind",
+        [
+            (16, 1024, "mixed"),  # one block, one per-page product of 2^18 multiply-adds
+            (64, 64, "mixed"),  # the same at the other end of the budget
+            (16, 3 * 1024 + 5, "mixed"),
+            (3, 16_384 + 1, "mixed"),
+            (6, 50, "erased"),
+            (7, 300, "programmed"),
+        ],
+    )
+    def test_bytes_equal_the_float64_einsum_reference(self, n, c, kind):
+        rng = np.random.default_rng(n * c)
+        cells = {
+            "mixed": lambda: _erase_heavy_block(n, c, seed=n + c).cells,
+            "erased": lambda: np.zeros((n, c), dtype=np.uint8),
+            "programmed": lambda: rng.integers(1, 16, size=(n, c), dtype=np.uint8),
+        }[kind]()
+        pattern = BlockPattern(cells)
+        for k1, k2, alpha in ((4.0, 1.0, 1.0), (2.5, 0.3, 2.0)):
+            cfg = ArchConfig(num_wordlines=n, cells_per_page=c, k1=k1, k2=k2, alpha=alpha)
+            tensor = build_score_tensor(pattern, cfg)
+            assert tensor.tobytes() == _reference_einsum_tensor(pattern, cfg).tobytes()
 
     def test_worst_case_block_sums_stay_exact(self):
         # Pages at levels 2, 1, 0 in every column add the odd value
