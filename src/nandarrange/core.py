@@ -9,6 +9,10 @@ source page stored at physical wordline position i.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +43,49 @@ def chunks(count: int, item_bytes: int):
     but the last."""
     size = chunk_size(item_bytes)
     return (slice(start, min(start + size, count)) for start in range(0, count, size))
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (all of the host's where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def second_thread(num_chunks: int) -> bool:
+    """Whether a pass of ``num_chunks`` chunks runs part of its work on a
+    helper thread: it spans at least two chunks and the process may run on
+    at least two CPUs. The CPUs are counted at each call."""
+    return num_chunks >= 2 and usable_cpus() >= 2
+
+
+@contextmanager
+def on_helper_thread(work: Callable[[], object]):
+    """Run ``work()`` on a new thread while the body of the with-statement
+    runs on the calling thread. The thread is joined when the statement
+    ends, however it ends, and an exception ``work`` raised is raised again
+    in the caller unless the body raised its own.
+
+    The helper thread starts with numpy's default error state, not the
+    caller's, so ``work`` must do nothing that np.errstate governs.
+    """
+    failure = []
+
+    def run():
+        try:
+            work()
+        except BaseException as exc:
+            failure.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        yield
+    finally:
+        thread.join()
+    if failure:
+        raise failure[0]
 
 
 def check_seed(seed: int) -> None:

@@ -18,14 +18,19 @@ its temporaries stay within a few MiB; the only full-size arrays are each
 function's result (float64 voltages or exposure, uint8 read-back levels),
 and read_back hands its levels to BlockPattern read-only, so they are held
 once. channel_ber reads back each chunk of voltages in place as it is made,
-so the BER of a channel run needs no full-size array at all.
+so the BER of a channel run needs no full-size array at all. When the
+process may run on two CPUs and the block spans two or more chunks, a helper
+thread draws each next chunk's noise while the current chunk is finished
+(see _voltage_chunks), with the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +41,8 @@ from .core import (
     check_seed,
     chunk_size,
     chunks,
+    on_helper_thread,
+    second_thread,
     validate_pattern,
 )
 from .errors import DimensionMismatch, InvalidArgument
@@ -125,11 +132,20 @@ def _voltage_chunks(
     ``part``, for each core.chunks run of cells in order.
 
     Edge rows read their levels, interior cells gather their drifted level,
-    then the run's noise is drawn. Every run continues the same PCG64 stream,
-    and standard_normal scaled by sigma is bit for bit rng.normal(0, sigma),
-    so the values equal one whole-block draw. ``values`` is a view of
-    ``voltages``, a C-contiguous N x C float64 array, when one is given, and
-    of one reused buffer otherwise, valid until the next run.
+    then the run's noise is added. Every run continues the same PCG64
+    stream, and standard_normal scaled by sigma is bit for bit
+    rng.normal(0, sigma), so the values equal one whole-block draw.
+    ``values`` is a view of ``voltages``, a C-contiguous N x C float64
+    array, when one is given, and of one reused buffer otherwise, valid
+    until the next run.
+
+    When core.second_thread admits the walk, a helper thread draws the next
+    run's standard normals into a second buffer while the caller gathers,
+    scales and adds this run and the consumer reads it, so at most one draw
+    is in flight and the stream keeps its order. The helper only draws:
+    scaling by sigma, the one step np.errstate governs, stays on the caller.
+    The helper is joined before the next run starts, and also when the
+    consumer closes the generator or an exception leaves it.
     """
     validate_pattern(pattern, cfg)
     table = _drifted_levels(cfg, rcfg)
@@ -138,25 +154,37 @@ def _voltage_chunks(
     width = min(size, chunk_size(8))
     flat = np.empty(width) if voltages is None else voltages.reshape(-1)
     index = np.empty(width, dtype=np.uint16)
+    parts = list(chunks(size, 8))
+    ahead = rcfg.noise_sigma > 0 and second_thread(len(parts))
     if rcfg.noise_sigma > 0:
         rng = np.random.Generator(np.random.PCG64(rcfg.seed))
-        noise = np.empty(width)
-    for part in chunks(size, 8):
-        values = flat[part] if voltages is not None else flat[: part.stop - part.start]
-        # Cells part.start .. lo lie in the top edge row, hi .. part.stop in the bottom one.
-        lo = min(max(part.start, c), part.stop)
-        hi = max(min(part.stop, size - c), lo)
-        head, tail = lo - part.start, hi - part.start
-        values[:head] = cells[part.start : lo]
-        if hi > lo:
-            gather_triples(table, pattern, cfg, lo - c, values[head:tail], index)
-        values[tail:] = cells[hi : part.stop]
-        if rcfg.noise_sigma > 0:
-            draw = noise[: values.size]
-            rng.standard_normal(out=draw)
-            draw *= rcfg.noise_sigma
-            values += draw
-        yield part, values
+        noise = [np.empty(width) for _ in range(1 + ahead)]
+
+    def draw(k: int) -> None:
+        # Run k's standard normals into its buffer; nothing past the last run.
+        if rcfg.noise_sigma > 0 and k < len(parts):
+            rng.standard_normal(out=noise[k % len(noise)][: parts[k].stop - parts[k].start])
+
+    draw(0)
+    for k, part in enumerate(parts):
+        overlap = ahead and k + 1 < len(parts)
+        with on_helper_thread(partial(draw, k + 1)) if overlap else nullcontext():
+            values = flat[part] if voltages is not None else flat[: part.stop - part.start]
+            # Cells part.start .. lo lie in the top edge row, hi .. part.stop in the bottom one.
+            lo = min(max(part.start, c), part.stop)
+            hi = max(min(part.stop, size - c), lo)
+            head, tail = lo - part.start, hi - part.start
+            values[:head] = cells[part.start : lo]
+            if hi > lo:
+                gather_triples(table, pattern, cfg, lo - c, values[head:tail], index)
+            values[tail:] = cells[hi : part.stop]
+            if rcfg.noise_sigma > 0:
+                sample = noise[k % len(noise)][: values.size]
+                sample *= rcfg.noise_sigma
+                values += sample
+            yield part, values
+        if not ahead:
+            draw(k + 1)
 
 
 def simulate_retention(

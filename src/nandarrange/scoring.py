@@ -13,11 +13,21 @@ core.CHUNK_BYTES, so no pass holds an array of the block's size in floats.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from contextlib import nullcontext
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import ERASED, LEVELS, ArchConfig, BlockPattern, chunk_size, validate_pattern
+from .core import (
+    ERASED,
+    LEVELS,
+    ArchConfig,
+    BlockPattern,
+    chunk_size,
+    on_helper_thread,
+    second_thread,
+    validate_pattern,
+)
 from .errors import LengthMismatch, LevelOutOfRange, TooFewWordlines
 
 _tensor_builds = 0
@@ -215,14 +225,25 @@ def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     page as T is formed.
 
     The page is walked in column blocks of k = _block_width(N) cells (C if
-    fewer). A block forms Q, then P, for all N^2 (a, b) pairs in one reused
-    (N, N, k) float32 buffer; a float32 reduction sums Q over the block into
-    a float64 (N, N) accumulator, and N float32 (N, k) by (k, N) matmuls, one
-    per under-page a, add the block's p into the float64 tensor. Each matmul
-    is N^2 k <= core.CHUNK_BYTES / 4 = 2^18 multiply-adds (unless one column
-    already passes the budget), which OpenBLAS 0.3.31 runs on the calling
-    thread; one (N^2, k) by (k, N) product per block woke its worker thread
-    and about doubled the build's CPU time for no wall-time gain.
+    fewer). A block forms Q, then P, for the (a, b) pairs of a walk's
+    under-pages a in one reused (rows, N, k) float32 buffer; a float32
+    reduction sums Q over the block into a float64 (N, N) accumulator, and
+    one float32 (N, k) by (k, N) matmul per under-page adds the block's p
+    into the float64 tensor. Each matmul is N^2 k <= core.CHUNK_BYTES / 4 =
+    2^18 multiply-adds (unless one column already passes the budget), which
+    OpenBLAS 0.3.31 runs on the thread that calls it; one (N^2, k) by (k, N)
+    product per block woke its worker thread and about doubled the build's
+    CPU time for no wall-time gain.
+
+    When the page spans two or more column blocks and core.second_thread
+    admits it, the under-pages split in two halves: a helper thread walks
+    every block for the upper half, in its own half-size buffer, while the
+    calling thread walks the lower half. The halves own disjoint rows of
+    the accumulators, so they share them, and the working set stays one
+    block. Both walks do only the exact integer-valued float32 work below;
+    every buffer is made, and the final combination with k1, k2 and alpha
+    done, on the calling thread, under its np.errstate. Otherwise one walk
+    takes every under-page on the calling thread.
 
     Exactness: every Q entry is an integer in [0, 256] and every P entry an
     integer in [-720, 0] (16 * 15 * 3), so any partial sum of a block, in any
@@ -233,9 +254,10 @@ def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     so M is exact and rounding happens only in the final combination with
     k1, k2 and alpha.
 
-    Memory is O(N^2 k + N^3) whatever C: the float32 block stays within
-    core.CHUNK_BYTES (or one column), the matmul output is N^3 float32, and
-    the float64 tensor doubles as the accumulator.
+    Memory is O(N^2 k + N^3) whatever C: the float32 block (both halves
+    together) stays within core.CHUNK_BYTES (or one column), the matmul
+    output is N^3 float32, and the float64 tensor doubles as the
+    accumulator.
     """
     global _tensor_builds
     if pattern.num_wordlines < 3:
@@ -245,7 +267,6 @@ def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     validate_pattern(pattern, cfg)
     n, c = pattern.cells.shape
     width = min(_block_width(n), c)
-    buffer = np.empty(n * n * width, dtype=np.float32)
     products = np.empty((n, n, n), dtype=np.float32)
     block_sums = np.empty((n, n), dtype=np.float32)
     row_sums = np.zeros((n, n), dtype=np.float64)
@@ -253,22 +274,46 @@ def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     # add, which measured several times slower than this fill at N=64.
     tensor = np.empty((n, n, n), dtype=np.float64)
     tensor.fill(0.0)
-    for start in range(0, c, width):
-        levels = pattern.cells[:, start : start + width].astype(np.float32)
-        k = levels.shape[1]
-        erased = (levels == ERASED).astype(np.float32)
-        block = buffer[: n * n * k].reshape(n, n, k)
-        # block[a, b] = Q[a, b] = (16 - |x_a - m|) w, then P = Q z (2 e_a - 3).
-        np.subtract(levels[:, None, :], levels[None, :, :], out=block)
-        np.abs(block, out=block)
-        np.subtract(LEVELS, block, out=block)
-        block *= (LEVELS - levels)[None, :, :]
-        np.add.reduce(block, axis=2, out=block_sums)
-        row_sums += block_sums
-        block *= (1 - erased)[None, :, :]
-        block *= (2 * erased - 3)[:, None, :]
-        np.matmul(block, erased.T, out=products)
-        tensor += products
+    # Each walk's buffers: the N x k levels, erased flags and per-cell
+    # factor, and its rows x N x k block of page pairs.
+    half = n // 2 if second_thread(-(-c // width)) else n
+    walks = [
+        (
+            rows,
+            np.empty((3, n, width), dtype=np.float32),
+            np.empty((rows.stop - rows.start) * n * width, dtype=np.float32),
+        )
+        for rows in (slice(0, half), slice(half, n))
+        if rows.start < rows.stop
+    ]
+
+    def walk(rows: slice, per_cell: np.ndarray, pairs: np.ndarray) -> None:
+        # Every column block, for the under-pages ``rows`` only.
+        for start in range(0, c, width):
+            cells = pattern.cells[:, start : start + width]
+            k = cells.shape[1]
+            levels, erased, factor = per_cell[:, :, :k]
+            np.copyto(levels, cells, casting="unsafe")
+            np.equal(levels, ERASED, out=erased)
+            block = pairs[: (rows.stop - rows.start) * n * k].reshape(-1, n, k)
+            # block[a, b] = Q[a, b] = (16 - |x_a - m|) w, then P = Q z (2 e_a - 3).
+            np.subtract(levels[rows, None, :], levels[None, :, :], out=block)
+            np.abs(block, out=block)
+            np.subtract(LEVELS, block, out=block)
+            np.subtract(LEVELS, levels, out=factor)
+            block *= factor[None, :, :]
+            np.add.reduce(block, axis=2, out=block_sums[rows])
+            row_sums[rows] += block_sums[rows]
+            np.subtract(1, erased, out=factor)
+            block *= factor[None, :, :]
+            np.multiply(erased, 2, out=factor)
+            factor -= 3
+            block *= factor[rows, None, :]
+            np.matmul(block, erased.T, out=products[rows])
+            tensor[rows] += products[rows]
+
+    with on_helper_thread(partial(walk, *walks[1])) if len(walks) == 2 else nullcontext():
+        walk(*walks[0])
     idx = np.arange(n)
     row_terms = 5 * row_sums + 3 * tensor[idx, :, idx]
     scale = cfg.alpha * (cfg.k1 + cfg.k2)

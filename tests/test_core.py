@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -300,6 +305,79 @@ def test_chunks_split_the_range_in_order(count, item_bytes, budget):
     assert all(len(part) == size for part in parts[:-1])
 
 
+class TestHelperThread:
+    def test_usable_cpus_follow_the_affinity_mask(self):
+        assert core.usable_cpus() == len(os.sched_getaffinity(0))
+
+    def test_second_thread_needs_two_cpus_and_two_chunks(self, cpus):
+        cpus(1)
+        assert not core.second_thread(2)
+        cpus(2)
+        assert not core.second_thread(1)
+        assert core.second_thread(2)
+
+    def test_the_work_runs_beside_the_body(self):
+        ran = []
+        with core.on_helper_thread(lambda: ran.append(threading.current_thread())):
+            pass
+        assert len(ran) == 1 and ran[0] is not threading.current_thread()
+
+    def test_an_exception_of_the_work_reaches_the_caller(self):
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="missing"):
+            with core.on_helper_thread(lambda: {}["missing"]):
+                pass
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_under_fast_switching(self, cpus, monkeypatch):
+        # Three callers at once, each with its own helper threads (six threads
+        # on at most two CPUs), switching every microsecond: a row or a draw
+        # that two threads shared would change the bytes.
+        monkeypatch.setattr(core, "CHUNK_BYTES", 4 * 9 * 9 * 5)
+        cfg = ArchConfig(num_wordlines=9, cells_per_page=47)
+        block = gen_random_block(cfg, seed=13)
+        rcfg = RetentionConfig(coupling=0.3, seed=13)
+
+        def outputs():
+            return (
+                build_score_tensor(block, cfg).tobytes(),
+                simulate_retention(block, cfg, rcfg).tobytes(),
+                channel_ber(block, cfg, rcfg).hex(),
+            )
+
+        cpus(1)
+        expected = outputs()
+        cpus(2)
+        results = []
+        callers = [
+            threading.Thread(target=lambda: results.extend(outputs() for _ in range(5)))
+            for _ in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [expected] * 15
+
+    def test_an_exception_of_the_body_waits_for_the_work(self):
+        done = []
+
+        def work():
+            time.sleep(0.05)
+            done.append(True)
+
+        with pytest.raises(ValueError):
+            with core.on_helper_thread(work):
+                raise ValueError
+        assert done == [True]
+
+
 def _chunk_lengths(monkeypatch, module):
     """Record the chunk lengths of every core.chunks walk that ``module`` makes."""
     walks = []
@@ -367,6 +445,24 @@ class TestChunkSizesAtBenchmarkShapes:
         random_search(block, cfg, 2000, 0)
         random_search(block, cfg, 10_000, 0)
         assert walks == [[2000], [8192, 1808]]
+
+    def test_only_paper_scale_passes_start_helper_threads(self, cpus, helpers):
+        cpus(2)
+        for n, c in ((8, 32), (64, 64)):  # desk-pipeline and wide-search
+            cfg = ArchConfig(num_wordlines=n, cells_per_page=c)
+            block = gen_random_block(cfg, seed=4)
+            build_score_tensor(block, cfg)
+            simulate_retention(block, cfg, RetentionConfig(seed=4))
+            channel_ber(block, cfg, RetentionConfig(seed=4))
+        assert helpers.starts == 0
+        cfg = ArchConfig(num_wordlines=16, cells_per_page=147_456)
+        block = gen_random_block(cfg, seed=4)
+        build_score_tensor(block, cfg)
+        assert helpers.starts == 1  # 144 column blocks of 1,024 cells
+        # 18 chunks of 2^17 cells: each but the last draws its successor's
+        # noise on a helper, one at a time.
+        channel_ber(block, cfg, RetentionConfig(seed=4))
+        assert (helpers.starts, helpers.most) == (1 + 17, 1)
 
     def test_exhaustive_walks_8192_rows_at_n8(self, monkeypatch):
         cfg = ArchConfig(num_wordlines=8, cells_per_page=32)

@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from nandarrange import (
     read_back,
     simulate_retention,
 )
-from nandarrange import core
+from nandarrange import core, retention
 from nandarrange.core import LEVELS, validate_pattern
 from nandarrange.data_io import GRAY_TABLE
 from nandarrange.errors import DimensionMismatch, InvalidArgument, LevelOutOfRange
@@ -462,3 +463,113 @@ class TestChannelBer:
         assert peak_bytes(channel_ber, block, cfg, rcfg) < 8 * 2**20
         expected = measure_ber(block, read_back(simulate_retention(block, cfg, rcfg)))
         assert channel_ber(block, cfg, rcfg).hex() == expected.hex()
+
+
+class TestTwoThreads:
+    # Chunks of 7 cells, so that small blocks walk many chunks and, on two
+    # CPUs, a helper thread draws each next chunk's noise ahead.
+    @pytest.fixture(autouse=True)
+    def seven_cell_chunks(self, monkeypatch):
+        monkeypatch.setattr(core, "CHUNK_BYTES", 7 * 8)
+
+    @pytest.mark.parametrize("n,c", [(3, 5), (5, 17), (17, 23)])
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 3.0])
+    def test_outputs_equal_one_thread(self, n, c, sigma, cpus, helpers):
+        cfg = ArchConfig(num_wordlines=n, cells_per_page=c)
+        block = gen_random_block(cfg, seed=n * c)
+        rcfg = RetentionConfig(coupling=0.3, noise_sigma=sigma, seed=n)
+        runs = []
+        for count in (1, 2):
+            cpus(count)
+            voltages = simulate_retention(block, cfg, rcfg)
+            runs.append(
+                (
+                    voltages.tobytes(),
+                    channel_ber(block, cfg, rcfg).hex(),
+                    measure_ber(block, read_back(voltages)).hex(),
+                )
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][1] == runs[0][2]
+        assert runs[0][0] == _reference_simulate_retention(block, cfg, rcfg).tobytes()
+        # Each chunk but the last starts one helper, in each of the two walks;
+        # without noise there is nothing to draw.
+        num_chunks = -(-n * c // 7)
+        assert helpers.starts == (2 * (num_chunks - 1) if sigma > 0 else 0)
+        assert helpers.most == min(1, helpers.starts)
+
+    def _case(self, n=17, c=5):
+        cfg = ArchConfig(num_wordlines=n, cells_per_page=c)
+        return gen_random_block(cfg, seed=12), cfg, RetentionConfig(coupling=0.3, seed=12)
+
+    def test_closing_the_voltages_joins_the_helper(self, cpus, helpers):
+        cpus(2)
+        before = threading.active_count()
+        walk = retention._voltage_chunks(*self._case())
+        next(walk)
+        next(walk)
+        walk.close()
+        assert (helpers.starts, helpers.alive) == (2, 0)
+        assert threading.active_count() == before
+
+    def test_a_failing_gather_joins_the_helper(self, cpus, helpers, monkeypatch):
+        # At 17 x 5 every chunk of 7 cells gathers once; chunk 3 fails.
+        cpus(2)
+        gather, calls = retention.gather_triples, []
+
+        def failing(*args):
+            calls.append(args[3])
+            if len(calls) == 4:
+                raise RuntimeError("gather failed")
+            gather(*args)
+
+        monkeypatch.setattr(retention, "gather_triples", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="gather failed"):
+            channel_ber(*self._case())
+        assert calls == [0, 2, 9, 16]  # interior cells from C = 5 on, chunks of 7
+        assert (helpers.starts, helpers.alive) == (4, 0)
+        assert threading.active_count() == before
+
+    def test_a_failing_draw_on_the_helper_reaches_the_caller(self, cpus, helpers, monkeypatch):
+        cpus(2)
+
+        class DrawFailed(Exception):
+            pass
+
+        generator, threads = np.random.Generator, []
+
+        class FailingGenerator:
+            def __init__(self, bit_generator):
+                self.rng = generator(bit_generator)
+
+            def standard_normal(self, out):
+                threads.append(threading.current_thread())
+                if len(threads) == 3:
+                    raise DrawFailed
+                return self.rng.standard_normal(out=out)
+
+        case = self._case()
+        monkeypatch.setattr(np.random, "Generator", FailingGenerator)
+        before = threading.active_count()
+        with pytest.raises(DrawFailed):
+            channel_ber(*case)
+        # Chunk 0 is drawn by the caller, chunks 1 and 2 each on a helper.
+        caller = threading.current_thread()
+        assert threads[0] is caller and caller not in threads[1:]
+        assert threads[1] is not threads[2]
+        assert (helpers.starts, helpers.alive) == (2, 0)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_the_callers_error_state_governs_the_noise(self, count, cpus, helpers):
+        # sigma 1e308 overflows some noise to +-inf; only the caller scales
+        # by sigma, so its error state decides, on either path.
+        cpus(count)
+        block, cfg, _ = self._case()
+        rcfg = RetentionConfig(noise_sigma=1e308, seed=12)
+        before = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            channel_ber(block, cfg, rcfg)
+        assert (helpers.starts > 0) == (count == 2)
+        assert helpers.alive == 0 and threading.active_count() == before

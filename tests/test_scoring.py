@@ -498,6 +498,24 @@ class TestColumnBlocks:
         assert np.array_equal(build_score_tensor(pattern, cfg), _reference_matmul_tensor(pattern, cfg))
 
 
+@pytest.mark.parametrize("n", [3, 5, 17])
+def test_build_on_two_threads_equals_one(n, cpus, helpers, monkeypatch):
+    # Column blocks of 5 cells over C = 41: nine blocks, the last of one
+    # cell. On two CPUs a helper thread walks the upper half of the
+    # under-pages (2 of 3, 3 of 5, 9 of 17).
+    monkeypatch.setattr(core, "CHUNK_BYTES", 4 * n * n * 5)
+    assert _block_width(n) == 5
+    c = 41
+    pattern = _erase_heavy_block(n, c, seed=n)
+    cfg = ArchConfig(num_wordlines=n, cells_per_page=c, k1=2.5, k2=0.3, alpha=2.0)
+    tensors = []
+    for count in (1, 2):
+        cpus(count)
+        tensors.append(build_score_tensor(pattern, cfg).tobytes())
+    assert helpers.starts == 1
+    assert tensors[0] == tensors[1] == _reference_matmul_tensor(pattern, cfg).tobytes()
+
+
 def test_decomposition_identity_random_instances():
     # block_score of any arrangement equals the tensor summed over the
     # permutation's consecutive triples: the property linking the block
