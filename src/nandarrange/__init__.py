@@ -13,7 +13,6 @@ from .core import (
     BlockPattern,
     Permutation,
     apply_permutation,
-    invert_permutation,
     validate_pattern,
 )
 from .scoring import (
@@ -21,7 +20,6 @@ from .scoring import (
     block_score,
     build_score_tensor,
     cell_score,
-    page_triple_score,
     tensor_build_count,
 )
 from .solvers import (

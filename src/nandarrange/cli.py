@@ -116,11 +116,15 @@ def parse_run_config(document: dict) -> dict:
     return document
 
 
+def _not_json(token: str):
+    raise ValueError(f"{token} is not a JSON value")
+
+
 def _read_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     with _reading(f"config {path}"):
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
+        document = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_not_json)
     return parse_run_config(document)
 
 

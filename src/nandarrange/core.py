@@ -248,11 +248,3 @@ def apply_permutation(pattern: BlockPattern, perm: Permutation) -> BlockPattern:
     cells = pattern.cells[perm.as_array()]
     cells.flags.writeable = False
     return BlockPattern(cells)
-
-
-def invert_permutation(perm: Permutation) -> Permutation:
-    """Return sigma^-1 so that applying it after ``perm`` restores the identity."""
-    inverse = [0] * len(perm)
-    for position, source in enumerate(perm.order):
-        inverse[source] = position
-    return Permutation(tuple(inverse))

@@ -17,10 +17,6 @@ class LevelOutOfRange(ArrangeError):
     """A cell holds a value outside the 0..15 program-level range."""
 
 
-class LengthMismatch(ArrangeError):
-    """Page vectors passed together have different cell counts."""
-
-
 class NotABijection(ArrangeError):
     """A permutation or mapping table does not visit every index exactly once."""
 

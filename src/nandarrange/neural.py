@@ -90,14 +90,15 @@ class TrainConfig:
         if self.epochs < 1:
             raise InvalidArgument(f"epochs must be >= 1, got {self.epochs}")
         check_seed(self.seed)
-        if not self.learning_rate > 0:
-            raise InvalidArgument("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidArgument("learning_rate must be finite and positive")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise InvalidArgument(f"{name} must lie in (0,1), got {value}")
-        if self.gradient_clip_norm is not None and not self.gradient_clip_norm > 0:
-            raise InvalidArgument("gradient_clip_norm must be positive or None")
+        clip = self.gradient_clip_norm
+        if clip is not None and not (math.isfinite(clip) and clip > 0):
+            raise InvalidArgument("gradient_clip_norm must be finite and positive, or None")
 
 
 class NetworkParams:

@@ -15,8 +15,8 @@ alone, so each is evaluated once on the 16^3 = 4,096 triples and gathered
 per cell by scoring.gather_triples. Every pass walks the cells in flat
 (row-major) chunks of core.CHUNK_BYTES at 8 bytes a cell (2^17 cells), so
 its temporaries stay within a few MiB; the only full-size arrays are each
-function's result (float64 voltages or exposure, uint8 read-back levels),
-and read_back hands its levels to BlockPattern read-only, so they are held
+function's result (float64 voltages, uint8 read-back levels), and
+read_back hands its levels to BlockPattern read-only, so they are held
 once. channel_ber reads back each chunk of voltages in place as it is made,
 so the BER of a channel run needs no full-size array at all. When the
 process may run on two CPUs and the block spans two or more chunks, a helper
@@ -91,23 +91,6 @@ def _exposure_table(cfg: ArchConfig) -> np.ndarray:
     lut = score_table(replace(cfg, alpha=1.0))
     best, worst = lut.max(), lut.min()
     return (best - lut) / (best - worst)
-
-
-def cell_exposure(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
-    """Per-cell exposure in [0, 1]: 0 at the best-scoring triple, 1 at the worst.
-
-    Interior cells score their own (below, self, above) triple; edge wordlines
-    have no triple and get exposure 0. Uses alpha-normalized scores so the
-    exposure is invariant to the score-range coefficient.
-    """
-    validate_pattern(pattern, cfg)
-    table = _exposure_table(cfg)
-    exposure = np.zeros(pattern.cells.shape, dtype=np.float64)
-    interior = exposure[1:-1].reshape(-1)
-    index = np.empty(min(interior.size, chunk_size(8)), dtype=np.uint16)
-    for part in chunks(interior.size, 8):
-        gather_triples(table, pattern, cfg, part.start, interior[part], index)
-    return exposure
 
 
 def _drifted_levels(cfg: ArchConfig, rcfg: RetentionConfig) -> np.ndarray:

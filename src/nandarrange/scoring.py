@@ -1,4 +1,4 @@
-"""Lateral-charge-migration scoring: cell triples, page triples, whole blocks.
+"""Lateral-charge-migration scoring: cell triples and whole blocks.
 
 Higher scores mean less migration impact. A cell's score depends on its own
 level, the levels of its vertical neighbors on the same bitline, and an
@@ -28,7 +28,7 @@ from .core import (
     second_thread,
     validate_pattern,
 )
-from .errors import LengthMismatch, LevelOutOfRange, TooFewWordlines
+from .errors import LevelOutOfRange, TooFewWordlines
 
 _tensor_builds = 0
 
@@ -89,22 +89,6 @@ def _cell_lut(k1: float, k2: float, alpha: float) -> np.ndarray:
 def score_table(cfg: ArchConfig) -> np.ndarray:
     """Read-only 16x16x16 table of cell_score over every (under, mid, up) level triple."""
     return _cell_lut(cfg.k1, cfg.k2, cfg.alpha)
-
-
-def page_triple_score(
-    under_page: np.ndarray, mid_page: np.ndarray, up_page: np.ndarray, cfg: ArchConfig
-) -> float:
-    """Sum of cell scores across all bitlines of one wordline triple."""
-    under_page = np.asarray(under_page)
-    mid_page = np.asarray(mid_page)
-    up_page = np.asarray(up_page)
-    if not (under_page.shape == mid_page.shape == up_page.shape) or under_page.ndim != 1:
-        raise LengthMismatch(
-            f"page vectors must share one length, got {under_page.shape}, "
-            f"{mid_page.shape}, {up_page.shape}"
-        )
-    BlockPattern(np.stack((under_page, mid_page, up_page)))  # LevelOutOfRange unless 0..15
-    return float(score_table(cfg)[under_page, mid_page, up_page].sum())
 
 
 def gather_triples(

@@ -71,8 +71,9 @@ class AnnealSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.initial_temperature is not None and not self.initial_temperature > 0:
-            raise InvalidArgument("initial_temperature must be positive (or None for auto)")
+        t0 = self.initial_temperature
+        if t0 is not None and not (math.isfinite(t0) and t0 > 0):
+            raise InvalidArgument("initial_temperature must be finite and positive, or None")
         if not 0.0 < self.cooling_factor < 1.0:
             raise InvalidArgument(f"cooling_factor must lie in (0,1), got {self.cooling_factor}")
         if self.iterations < 1:

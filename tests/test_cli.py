@@ -18,6 +18,7 @@ from nandarrange import (
 from nandarrange.cli import main, parse_run_config
 from nandarrange.data_io import MAPPING_MAGIC, pack_header
 from nandarrange.errors import InvalidArgument
+from nandarrange.scoring import score_table
 
 
 def run(argv, capsys):
@@ -121,14 +122,12 @@ class TestScore:
         assert code == 2
 
     def test_three_wordline_block_matches_page_triple(self, tmp_path, capsys):
-        from nandarrange import page_triple_score
-
         cells = np.array([[0, 3], [15, 8], [0, 1]], dtype=np.uint8)
         path = tmp_path / "t.pdap"
         save_pattern(path, BlockPattern(cells))
         code, out, _ = run(["score", "--in", str(path)], capsys)
         cfg = ArchConfig(num_wordlines=3, cells_per_page=2)
-        assert float(out.strip()) == page_triple_score(cells[0], cells[1], cells[2], cfg)
+        assert float(out.strip()) == float(score_table(cfg)[cells[0], cells[1], cells[2]].sum())
 
 
 class TestArrange:
@@ -194,7 +193,9 @@ class TestArrange:
         assert stdout == ""
         assert "CodecError: checkpoint parameter" in err and "is not finite: nan" in err
 
-    @pytest.mark.parametrize("flag", [("--cooling", "2"), ("--iterations", "0"), ("--t0", "0")])
+    @pytest.mark.parametrize(
+        "flag", [("--cooling", "2"), ("--iterations", "0"), ("--t0", "0"), ("--t0", "inf")]
+    )
     def test_invalid_schedule_flag_exits_1_for_every_solver(self, tmp_path, capsys, flag):
         out = gen_dataset(tmp_path, capsys, blocks=1, wordlines=4, cells=4)
         block = next(out.glob("*.pdap"))
@@ -326,12 +327,15 @@ class TestConfigErrors:
             ("train", {"retention": {"coupling": "x"}}),
             ("train", {"train": {"seed": -1}}),
             ("simulate", {"retention": {"seed": -1}}),
+            # Valid JSON whose number overflows to infinity.
+            ("train", '{"train": {"learning_rate": 1e400}}'),
+            ("train", '{"train": {"gradient_clip_norm": 1e400}}'),
         ],
     )
     def test_bad_value_exits_1_with_typed_error(self, tmp_path, capsys, command, document):
         data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=8)
         config = tmp_path / "run.json"
-        config.write_text(json.dumps(document))
+        config.write_text(document if isinstance(document, str) else json.dumps(document))
         if command == "train":
             argv = ["train", "--data-dir", str(data), "--config", str(config),
                     "--out-model", str(tmp_path / "m.pdaw")]
@@ -344,11 +348,17 @@ class TestConfigErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train", "simulate"])
-    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"train": {}'])
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",
+        b'{"train": {}',
+        b'{"train": {"learning_rate": Infinity}}',
+        b'{"retention": {"time": -Infinity}}',
+        b'{"retention": {"noise_sigma": NaN}}',
+    ])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, command, content):
         data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=8)
         config = tmp_path / "run.json"
-        config.write_bytes(content)  # not UTF-8, or not JSON
+        config.write_bytes(content)  # not UTF-8, not JSON, or not strict JSON
         if command == "train":
             argv = ["train", "--data-dir", str(data), "--config", str(config),
                     "--out-model", str(tmp_path / "m.pdaw")]

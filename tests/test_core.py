@@ -21,7 +21,6 @@ from nandarrange import (
     exhaustive_best,
     gen_random_block,
     greedy_arrange,
-    invert_permutation,
     measure_ber,
     random_search,
     read_back,
@@ -115,6 +114,10 @@ class TestValidatePattern:
         with pytest.raises(DimensionMismatch, match=r"^cells must be a 2-D matrix, got ndim=1$"):
             BlockPattern(np.zeros(8, dtype=np.uint8))
 
+    def test_float_cells_rejected(self):
+        with pytest.raises(LevelOutOfRange, match=r"^cells must hold integers, got dtype float64$"):
+            BlockPattern(np.zeros((3, 3)))
+
 
 @st.composite
 def level_arrays(draw):
@@ -180,12 +183,6 @@ class TestPermutation:
         apply_permutation(p, Permutation((3, 2, 1, 0)))
         assert np.array_equal(p.cells, cells)
 
-    def test_invert_known_values(self):
-        assert invert_permutation(Permutation((2, 0, 1))).order == (1, 2, 0)
-        assert invert_permutation(Permutation((1, 0))).order == (1, 0)
-        ident = Permutation.identity(5)
-        assert invert_permutation(ident).order == ident.order
-
 
 def brute_force_inverse(perm: Permutation) -> Permutation:
     # Independent oracle: solve result[perm[i]] = i by scanning.
@@ -206,12 +203,6 @@ def test_apply_then_inverse_restores(order, seed):
     sigma = Permutation(tuple(order))
     roundtrip = apply_permutation(apply_permutation(p, sigma), brute_force_inverse(sigma))
     assert np.array_equal(roundtrip.cells, p.cells)
-
-
-@given(st.permutations(list(range(7))))
-def test_double_inverse_is_identity_map(order):
-    sigma = Permutation(tuple(order))
-    assert invert_permutation(invert_permutation(sigma)).order == sigma.order
 
 
 @given(st.permutations(list(range(5))), st.integers(0, 2**31 - 1))

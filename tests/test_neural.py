@@ -535,10 +535,14 @@ class TestTrain:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("learning_rate", 0.0, r"^learning_rate must be positive$"),
+            ("learning_rate", 0.0, r"^learning_rate must be finite and positive$"),
+            ("learning_rate", float("inf"), r"^learning_rate must be finite and positive$"),
             ("beta1", 1.0, r"^beta1 must lie in \(0,1\), got 1.0$"),
             ("beta2", 0.0, r"^beta2 must lie in \(0,1\), got 0.0$"),
-            ("gradient_clip_norm", -1.0, r"^gradient_clip_norm must be positive or None$"),
+            ("gradient_clip_norm", -1.0,
+             r"^gradient_clip_norm must be finite and positive, or None$"),
+            ("gradient_clip_norm", float("inf"),
+             r"^gradient_clip_norm must be finite and positive, or None$"),
         ],
     )
     def test_rejects_bad_optimizer_settings(self, field, value, message):

@@ -21,11 +21,7 @@ from nandarrange import core, retention
 from nandarrange.core import LEVELS, validate_pattern
 from nandarrange.data_io import GRAY_TABLE
 from nandarrange.errors import DimensionMismatch, InvalidArgument, LevelOutOfRange
-from nandarrange.retention import (
-    EXPOSURE_THRESHOLD,
-    FULL_EXPOSURE_DRIFT,
-    cell_exposure,
-)
+from nandarrange.retention import EXPOSURE_THRESHOLD, FULL_EXPOSURE_DRIFT
 from nandarrange.scoring import score_table
 
 
@@ -147,22 +143,6 @@ class TestSimulateRetention:
         assert np.array_equal(voltages[0], block.cells[0].astype(float))
         assert np.array_equal(voltages[-1], block.cells[-1].astype(float))
 
-    def test_exposure_bounds_and_extremes(self):
-        from nandarrange.retention import cell_exposure
-
-        cfg = ArchConfig(num_wordlines=3, cells_per_page=2)
-        worst = BlockPattern(np.array([[0, 0], [15, 0], [0, 0]], dtype=np.uint8))
-        exposure = cell_exposure(worst, cfg)
-        assert exposure[1, 0] == 1.0  # minimum-score triple
-        assert exposure[1, 1] == 0.0  # all-erased triple scores the maximum
-        assert exposure[0].tolist() == [0.0, 0.0] and exposure[2].tolist() == [0.0, 0.0]
-
-    def test_exposure_validates_pattern_against_config(self):
-        with pytest.raises(DimensionMismatch):
-            cell_exposure(BlockPattern(np.zeros((4, 1), dtype=np.uint8)), CFG3)
-        with pytest.raises(LevelOutOfRange):
-            cell_exposure(BlockPattern(np.array([[0], [16], [0]], dtype=np.uint8)), CFG3)
-
     def test_memory_is_bounded_at_paper_scale(self, peak_bytes):
         # The per-cell reference holds about ten N x C float64 temporaries
         # (about 144 MiB here). The table gather holds only the float64
@@ -180,16 +160,6 @@ class TestSimulateRetention:
         assert peaks[0] < bound < peaks[1]
         assert peaks[0] < n * c * 8 + (n - 2) * c * 2 + 2 * 2**20
 
-    def test_exposure_gather_does_not_copy_the_index(self, peak_bytes):
-        # np.take converts its index to intp; over the whole (N-2) x C uint16
-        # index that copy alone is 15.75 MiB here. Chunked takes keep it small.
-        cfg = ArchConfig(num_wordlines=16, cells_per_page=147_456)
-        block = gen_random_block(cfg, seed=6)
-        result = cfg.num_wordlines * cfg.cells_per_page * 8
-        index = (cfg.num_wordlines - 2) * cfg.cells_per_page * 2
-        assert peak_bytes(cell_exposure, block, cfg) < result + index + 4 * 2**20
-        assert np.array_equal(cell_exposure(block, cfg), _reference_cell_exposure(block, cfg))
-
     @pytest.mark.parametrize("slab_cells", [7, 9, 30])
     def test_gather_slabs_do_not_change_values(self, monkeypatch, slab_cells):
         # Chunks that cross rows (7), that fill one row exactly (9), and that
@@ -201,7 +171,6 @@ class TestSimulateRetention:
         cells = block.cells
         expected_score = float(score_table(cfg)[cells[:-2], cells[1:-1], cells[2:]].sum())
         assert block_score(block, cfg).hex() == expected_score.hex()
-        assert np.array_equal(cell_exposure(block, cfg), _reference_cell_exposure(block, cfg))
         voltages = simulate_retention(block, cfg, rcfg)
         assert np.array_equal(voltages, _reference_simulate_retention(block, cfg, rcfg))
         readback = read_back(voltages)
@@ -406,7 +375,6 @@ def test_channel_is_bit_identical_to_per_cell_reference(case):
     expected = _reference_simulate_retention(pattern, cfg, rcfg)
     assert np.array_equal(voltages, expected)
     assert np.array_equal(np.signbit(voltages), np.signbit(expected))
-    assert np.array_equal(cell_exposure(pattern, cfg), _reference_cell_exposure(pattern, cfg))
     readback = read_back(voltages)
     assert measure_ber(pattern, readback) == _reference_measure_ber(pattern, readback)
 

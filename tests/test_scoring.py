@@ -13,10 +13,9 @@ from nandarrange import (
     block_score,
     build_score_tensor,
     cell_score,
-    page_triple_score,
 )
 from nandarrange import core
-from nandarrange.errors import LengthMismatch, LevelOutOfRange, TooFewWordlines
+from nandarrange.errors import LevelOutOfRange, TooFewWordlines
 from nandarrange.scoring import (
     _EXACT_BLOCK_CELLS,
     _block_width,
@@ -152,35 +151,6 @@ class TestCellScore:
             assert cell_score(*triple, scaled) == pytest.approx(cell_score(*triple, CFG) / 4.0)
 
 
-class TestPageTripleScore:
-    def test_all_zero_pages(self):
-        zeros = np.zeros(4, dtype=np.int64)
-        assert page_triple_score(zeros, zeros, zeros, CFG) == 5120.0
-
-    def test_single_cell_matches_cell_score(self):
-        assert page_triple_score(np.array([0]), np.array([15]), np.array([0]), CFG) == 1.0
-
-    def test_two_cells_sum(self):
-        under = np.array([0, 15])
-        mid = np.array([15, 0])
-        up = np.array([0, 15])
-        assert page_triple_score(under, mid, up, CFG) == 81.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            page_triple_score(np.zeros(3, dtype=int), np.zeros(4, dtype=int), np.zeros(3, dtype=int), CFG)
-
-    def test_rejects_level_16_naming_page_and_cell(self):
-        up = np.array([0, 0, 16])
-        with pytest.raises(LevelOutOfRange, match=r"cell \(2, 2\) holds 16"):
-            page_triple_score(np.zeros(3, dtype=int), np.zeros(3, dtype=int), up, CFG)
-
-    def test_rejects_float_pages(self):
-        zeros = np.zeros(3, dtype=int)
-        with pytest.raises(LevelOutOfRange, match="integers"):
-            page_triple_score(zeros, np.zeros(3), zeros, CFG)
-
-
 class TestBlockScore:
     def test_interior_triples_only(self):
         cfg = ArchConfig(num_wordlines=4, cells_per_page=1)
@@ -191,12 +161,21 @@ class TestBlockScore:
         pattern = BlockPattern(np.array([[0], [15], [0]], dtype=np.uint8))
         assert block_score(pattern, cfg) == 1.0
 
+    def test_all_erased_three_rows(self):
+        cfg = ArchConfig(num_wordlines=3, cells_per_page=4)
+        assert block_score(BlockPattern(np.zeros((3, 4), dtype=np.uint8)), cfg) == 5120.0
+
+    def test_two_cells_sum(self):
+        cfg = ArchConfig(num_wordlines=3, cells_per_page=2)
+        pattern = BlockPattern(np.array([[0, 15], [15, 0], [0, 15]], dtype=np.uint8))
+        assert block_score(pattern, cfg) == 81.0
+
     def test_three_wordlines_equals_page_triple(self):
         cfg = ArchConfig(num_wordlines=3, cells_per_page=6)
         rng = np.random.default_rng(5)
         cells = rng.integers(0, 16, size=(3, 6), dtype=np.uint8)
         pattern = BlockPattern(cells)
-        expected = page_triple_score(cells[0], cells[1], cells[2], cfg)
+        expected = float(score_table(cfg)[cells[0], cells[1], cells[2]].sum())
         assert block_score(pattern, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_short_blocks(self):

@@ -438,6 +438,8 @@ class TestSimulatedAnnealing:
             AnnealSchedule(iterations=0)
         with pytest.raises(InvalidArgument):
             AnnealSchedule(initial_temperature=0.0)
+        with pytest.raises(InvalidArgument, match="^initial_temperature must be finite"):
+            AnnealSchedule(initial_temperature=float("inf"))
         with pytest.raises(InvalidArgument, match="seed must be non-negative, got -3"):
             AnnealSchedule(seed=-3)
 
