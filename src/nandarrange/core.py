@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -117,17 +118,21 @@ class ArchConfig:
             )
         if self.cells_per_page < 1:
             raise InvalidArgument(f"cells_per_page must be positive, got {self.cells_per_page}")
-        if not all(math.isfinite(v) and v > 0 for v in (self.k1, self.k2, self.alpha)):
+        if not all(0 < v <= sys.float_info.max for v in (self.k1, self.k2, self.alpha)):
             raise InvalidArgument("k1, k2 and alpha must all be positive and finite")
         # Bound the divisor alpha (k1 + k2), a page triple's numerator
         # k2 M + k1 M' (M <= 1280 C, 5 * 16 * 16 per cell) and the block score
-        # over N - 2 triples; the factors 2 cover the rounding of the sums.
-        scale = self.alpha * (self.k1 + self.k2)
-        numerator = 2 * max(self.k1, self.k2) * 1280 * self.cells_per_page
-        if not (
-            0 < scale < math.inf
-            and math.isfinite(numerator / scale * 2 * (self.num_wordlines - 2))
-        ):
+        # over N - 2 triples; the factors 2 cover the rounding of the sums. An
+        # integer past the float range raises OverflowError on the way.
+        try:
+            scale = self.alpha * (self.k1 + self.k2)
+            numerator = 2 * max(self.k1, self.k2) * 1280 * self.cells_per_page
+            in_range = 0 < scale < math.inf and math.isfinite(
+                numerator / scale * 2 * (self.num_wordlines - 2)
+            )
+        except OverflowError:
+            in_range = False
+        if not in_range:
             raise InvalidArgument(
                 f"k1={self.k1}, k2={self.k2}, alpha={self.alpha} put the scores of a "
                 f"{self.num_wordlines}x{self.cells_per_page} block outside the float range"

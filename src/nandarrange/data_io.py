@@ -42,6 +42,7 @@ FORMAT_VERSION = 1
 _GRAY = tuple(x ^ (x >> 1) for x in range(LEVELS))
 _GRAY_INV = tuple(_GRAY.index(code) for code in range(LEVELS))
 GRAY_TABLE = np.array(_GRAY, dtype=np.uint8)
+GRAY_TABLE.flags.writeable = False
 
 
 def gray_encode(level: int) -> int:

@@ -49,12 +49,9 @@ class TruncatedFile(CodecError):
     """File size does not match what the header promises."""
 
 
-class NonFiniteGradient(ArrangeError):
-    """Backpropagation produced NaN or infinity; clip gradients or lower the rate."""
-
-
 class NonFiniteLoss(ArrangeError):
-    """Training loss left the finite range."""
+    """Training loss or a gradient left the finite range; ``epoch`` names the
+    training epoch, or is None for a lone backward pass."""
 
     def __init__(self, message: str, epoch: int | None = None):
         super().__init__(message)

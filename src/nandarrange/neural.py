@@ -34,6 +34,7 @@ outputs from ``_head_arrays``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,7 +46,6 @@ from .errors import (
     CodecError,
     DimensionMismatch,
     InvalidArgument,
-    NonFiniteGradient,
     NonFiniteLoss,
     TooFewWordlines,
 )
@@ -90,14 +90,14 @@ class TrainConfig:
         if self.epochs < 1:
             raise InvalidArgument(f"epochs must be >= 1, got {self.epochs}")
         check_seed(self.seed)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if not 0 < self.learning_rate <= sys.float_info.max:
             raise InvalidArgument("learning_rate must be finite and positive")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise InvalidArgument(f"{name} must lie in (0,1), got {value}")
         clip = self.gradient_clip_norm
-        if clip is not None and not (math.isfinite(clip) and clip > 0):
+        if clip is not None and not 0 < clip <= sys.float_info.max:
             raise InvalidArgument("gradient_clip_norm must be finite and positive, or None")
 
 
@@ -497,7 +497,7 @@ def _backward_into(
     np.sum(ws.dz, axis=0, out=grad.bias)
 
     if not np.isfinite(loss) or not np.isfinite(grad.flat).all():
-        raise NonFiniteGradient(
+        raise NonFiniteLoss(
             "non-finite loss or gradient; clip gradients or reduce the learning rate"
         )
     return loss
@@ -522,8 +522,8 @@ def backward(
     writing into a preallocated workspace: inside ``train``, which reuses one
     workspace, a step takes about 0.3 ms at N=8, C=32, H=16 on a 2-vCPU host,
     almost all of it numpy call overhead. This call builds a fresh workspace,
-    so the returned gradients belong to the caller. Raises NonFiniteGradient
-    if anything overflows.
+    so the returned gradients belong to the caller. Raises NonFiniteLoss
+    (epoch None) if anything overflows.
     """
     s_flat = _score_rows(pattern, netcfg, score_tensor)
     x = _scaled_levels(pattern, netcfg)
@@ -614,7 +614,7 @@ def train(
                     update /= denom
                     flat -= update
                     total += loss
-        except (NonFiniteGradient, FloatingPointError) as exc:
+        except (NonFiniteLoss, FloatingPointError) as exc:
             raise NonFiniteLoss(
                 f"training diverged at epoch {epoch}: {exc}", epoch=epoch
             ) from exc

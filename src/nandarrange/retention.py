@@ -27,6 +27,7 @@ thread draws each next chunk's noise while the current chunk is finished
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -54,6 +55,7 @@ BITS_PER_CELL = 4
 _BIT_FLIPS = np.array(
     [bin(int(a) ^ int(b)).count("1") for a in GRAY_TABLE for b in GRAY_TABLE], dtype=np.uint8
 )
+_BIT_FLIPS.flags.writeable = False
 
 # Exposure below this fraction of the score range moves no charge; the scale
 # maps full exposure (the minimum-score triple, e.g. erased/full/erased) to a
@@ -74,12 +76,13 @@ class RetentionConfig:
     def __post_init__(self):
         for name in ("coupling", "time", "saturation_gain", "noise_sigma"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
+            if not 0 <= value <= sys.float_info.max:
                 raise InvalidArgument(f"{name} must be finite and non-negative, got {value}")
         check_seed(self.seed)
-        # The largest drift any cell can take must stay finite, or inf * 0 makes NaN.
+        # The largest drift any cell can take must stay finite, or inf * 0 makes NaN;
+        # float() lets an integer product overflow to inf, not raise OverflowError.
         if not math.isfinite(
-            self.coupling * self.time * (1 + self.saturation_gain) * FULL_EXPOSURE_DRIFT
+            float(self.coupling) * self.time * (1 + self.saturation_gain) * FULL_EXPOSURE_DRIFT
         ):
             raise InvalidArgument(
                 "coupling * time * (1 + saturation_gain) * 15, the largest drift, overflows"
@@ -106,10 +109,7 @@ def _drifted_levels(cfg: ArchConfig, rcfg: RetentionConfig) -> np.ndarray:
 
 
 def _voltage_chunks(
-    pattern: BlockPattern,
-    cfg: ArchConfig,
-    rcfg: RetentionConfig,
-    voltages: np.ndarray | None = None,
+    pattern: BlockPattern, cfg: ArchConfig, rcfg: RetentionConfig
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (part, values): the read voltages of the flat (row-major) cells
     ``part``, for each core.chunks run of cells in order.
@@ -118,9 +118,8 @@ def _voltage_chunks(
     then the run's noise is added. Every run continues the same PCG64
     stream, and standard_normal scaled by sigma is bit for bit
     rng.normal(0, sigma), so the values equal one whole-block draw.
-    ``values`` is a view of ``voltages``, a C-contiguous N x C float64
-    array, when one is given, and of one reused buffer otherwise, valid
-    until the next run.
+    ``values`` is a view of one reused float64 buffer, valid until the next
+    run.
 
     When core.second_thread admits the walk, a helper thread draws the next
     run's standard normals into a second buffer while the caller gathers,
@@ -135,7 +134,7 @@ def _voltage_chunks(
     cells = pattern.cells.reshape(-1)
     size, c = cells.size, pattern.cells_per_page
     width = min(size, chunk_size(8))
-    flat = np.empty(width) if voltages is None else voltages.reshape(-1)
+    flat = np.empty(width)
     index = np.empty(width, dtype=np.uint16)
     parts = list(chunks(size, 8))
     ahead = rcfg.noise_sigma > 0 and second_thread(len(parts))
@@ -152,14 +151,14 @@ def _voltage_chunks(
     for k, part in enumerate(parts):
         overlap = ahead and k + 1 < len(parts)
         with on_helper_thread(partial(draw, k + 1)) if overlap else nullcontext():
-            values = flat[part] if voltages is not None else flat[: part.stop - part.start]
+            values = flat[: part.stop - part.start]
             # Cells part.start .. lo lie in the top edge row, hi .. part.stop in the bottom one.
             lo = min(max(part.start, c), part.stop)
             hi = max(min(part.stop, size - c), lo)
             head, tail = lo - part.start, hi - part.start
             values[:head] = cells[part.start : lo]
             if hi > lo:
-                gather_triples(table, pattern, cfg, lo - c, values[head:tail], index)
+                gather_triples(table, pattern, lo - c, values[head:tail], index)
             values[tail:] = cells[hi : part.stop]
             if rcfg.noise_sigma > 0:
                 sample = noise[k % len(noise)][: values.size]
@@ -185,14 +184,15 @@ def simulate_retention(
     The drifted level is a function of the cell's level triple alone, so it
     is computed once for each of the 4,096 triples and gathered per cell;
     each entry gets the same float operations, in the same order, as a
-    per-cell evaluation of the formula above. The cells are walked in chunks
-    written straight into the returned array, each drawing its noise from
-    the same PCG64 stream, so the voltages equal those of one whole-block
-    draw bit for bit.
+    per-cell evaluation of the formula above. The cells are walked in chunks,
+    each drawing its noise from the same PCG64 stream and copied into the
+    returned array, so the voltages equal those of one whole-block draw bit
+    for bit.
     """
     voltages = np.empty(pattern.cells.shape, dtype=np.float64)
-    for _ in _voltage_chunks(pattern, cfg, rcfg, voltages):
-        pass
+    flat = voltages.reshape(-1)
+    for part, values in _voltage_chunks(pattern, cfg, rcfg):
+        flat[part] = values
     return voltages
 
 

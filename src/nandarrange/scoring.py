@@ -67,42 +67,31 @@ def ae_coefficient(under: int, mid: int, up: int) -> int:
 
 def cell_score(under: int, mid: int, up: int, cfg: ArchConfig) -> float:
     """Score of the middle cell of a vertical triple; higher = less migration."""
-    under = _check_level("under", under)
-    mid = _check_level("mid", mid)
-    up = _check_level("up", up)
+    coupling = ae_coefficient(under, mid, up)
+    under, mid, up = int(under), int(mid), int(up)
     f = (
         cfg.k2 * (LEVELS - abs(under - mid)) + cfg.k1 * (LEVELS - abs(mid - up))
     ) / (cfg.alpha * (cfg.k1 + cfg.k2))
-    return ae_coefficient(under, mid, up) * (LEVELS - mid) * f
+    return coupling * (LEVELS - mid) * f
 
 
 @lru_cache(maxsize=8)
-def _cell_lut(k1: float, k2: float, alpha: float) -> np.ndarray:
-    # The smallest geometry, which admits every coefficient set some block does.
-    cfg = ArchConfig(num_wordlines=3, cells_per_page=1, k1=k1, k2=k2, alpha=alpha)
+def score_table(cfg: ArchConfig) -> np.ndarray:
+    """Read-only 16x16x16 table of cell_score over every (under, mid, up) level
+    triple. Cached per config, which a frozen ArchConfig lets it key on."""
     triples = itertools.product(range(LEVELS), repeat=3)
     lut = np.array([cell_score(*t, cfg) for t in triples]).reshape(LEVELS, LEVELS, LEVELS)
     lut.flags.writeable = False
     return lut
 
 
-def score_table(cfg: ArchConfig) -> np.ndarray:
-    """Read-only 16x16x16 table of cell_score over every (under, mid, up) level triple."""
-    return _cell_lut(cfg.k1, cfg.k2, cfg.alpha)
-
-
 def gather_triples(
-    table: np.ndarray,
-    pattern: BlockPattern,
-    cfg: ArchConfig,
-    start: int,
-    out: np.ndarray,
-    index: np.ndarray,
+    table: np.ndarray, pattern: BlockPattern, start: int, out: np.ndarray, index: np.ndarray
 ) -> None:
     """out[k] = table[x[s], x[s + C], x[s + 2C]] for s = start + k.
 
     ``table`` is any 16x16x16 per-triple table indexed [under, mid, up], x is
-    the validated pattern's cells in flat (row-major) order, and s runs over
+    the pattern's cells in flat (row-major) order, and s runs over
     the interior cells 0 .. (N-2) C in the same order: interior cell s is the
     middle of the vertical triple (x[s], x[s + C], x[s + 2C]), so any run of
     interior cells reads three contiguous runs of the cells. The triples are
@@ -112,9 +101,9 @@ def gather_triples(
     core.CHUNK_BYTES // 8 cells; the index is in range by construction, and
     mode="clip" keeps take from buffering a copy of its output. ``out`` must
     be a one-dimensional C-contiguous run inside the interior, or ValueError
-    is raised before anything is written.
+    is raised before anything is written. The pattern's shape is the
+    caller's to check, once per pass, against its ArchConfig.
     """
-    validate_pattern(pattern, cfg)
     cells = pattern.cells.reshape(-1)
     c = pattern.cells_per_page
     stop = start + out.size
@@ -156,6 +145,7 @@ def block_score(pattern: BlockPattern, cfg: ArchConfig) -> float:
         raise TooFewWordlines(
             f"block score needs >= 3 wordlines, got {pattern.num_wordlines}"
         )
+    validate_pattern(pattern, cfg)
     table = score_table(cfg)
     count = (pattern.num_wordlines - 2) * pattern.cells_per_page
     leaf = max(chunk_size(8), _PAIRWISE_BLOCK)
@@ -164,7 +154,7 @@ def block_score(pattern: BlockPattern, cfg: ArchConfig) -> float:
 
     def tree_sum(start: int, n: int) -> np.float64:
         if n <= leaf:
-            gather_triples(table, pattern, cfg, start, values[:n], index)
+            gather_triples(table, pattern, start, values[:n], index)
             return values[:n].sum()
         half = n // 2 - n // 2 % 8
         return tree_sum(start, half) + tree_sum(start + half, n - half)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass
 
@@ -72,7 +73,7 @@ class AnnealSchedule:
 
     def __post_init__(self):
         t0 = self.initial_temperature
-        if t0 is not None and not (math.isfinite(t0) and t0 > 0):
+        if t0 is not None and not 0 < t0 <= sys.float_info.max:
             raise InvalidArgument("initial_temperature must be finite and positive, or None")
         if not 0.0 < self.cooling_factor < 1.0:
             raise InvalidArgument(f"cooling_factor must lie in (0,1), got {self.cooling_factor}")

@@ -637,6 +637,17 @@ def test_gen_zero_blocks_exits_1(tmp_path, capsys):
     assert not (tmp_path / "none").exists()
 
 
+@pytest.mark.parametrize("flag", ["--wordlines", "--cells"])
+def test_gen_geometry_past_the_float_range_exits_1(tmp_path, capsys, flag):
+    argv = ["gen", "--out", str(tmp_path / "big"), "--blocks", "1", "--wordlines", "4", "--cells", "4"]
+    code, out, err = run(argv + [flag, str(10**400)], capsys)  # the last value of a flag wins
+    assert (code, out) == (1, "")
+    assert err.startswith("error: InvalidArgument: ") and err.count("\n") == 1
+    assert "outside the float range" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "big").exists()
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as info:
         main(["arrange"])  # missing required flags

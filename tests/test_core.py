@@ -75,6 +75,11 @@ class TestArchConfig:
             # The largest block score overflows: greedy and annealing used to
             # raise NotABijection here, from inf + (-inf) = nan.
             dict(num_wordlines=5, cells_per_page=8, alpha=1e-305),
+            # Integers past the float range, which used to raise OverflowError.
+            dict(k1=10**400),
+            dict(num_wordlines=10**400),
+            dict(cells_per_page=10**400),
+            dict(k1=10**300, cells_per_page=10**10),
         ],
     )
     def test_rejects_coefficients_whose_scores_overflow(self, kwargs):
@@ -387,9 +392,9 @@ def _gather_runs(monkeypatch):
     runs = []
     gather = scoring.gather_triples
 
-    def recording(table, pattern, cfg, start, out, index):
+    def recording(table, pattern, start, out, index):
         runs.append((start, out.size))
-        gather(table, pattern, cfg, start, out, index)
+        gather(table, pattern, start, out, index)
 
     monkeypatch.setattr(scoring, "gather_triples", recording)
     monkeypatch.setattr(retention, "gather_triples", recording)

@@ -1,8 +1,12 @@
-"""Each module of the package uses only the public names of its siblings, and
-only core makes or changes a BlockPattern past its constructor."""
+"""Each module of the package uses only the public names of its siblings,
+only core makes or changes a BlockPattern past its constructor, and no
+module holds a writable array."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import numpy as np
 
 import nandarrange
 
@@ -126,3 +130,16 @@ def test_the_constructor_guard_sees_every_bypass(tmp_path):
         "r = object.__new__(dict)\n"
     )
     assert [line for line, _ in _constructor_bypasses(probe)] == [3, 4, 5, 6]
+
+
+def test_no_module_holds_a_writable_array():
+    # A module-level array is shared by every caller in the process, so one
+    # that can be written is global mutable state.
+    modules = [importlib.import_module(f"nandarrange.{stem}") for stem in MODULES - {"__init__"}]
+    writable = [
+        f"{module.__name__}.{name}"
+        for module in [nandarrange, *modules]
+        for name, value in vars(module).items()
+        if isinstance(value, np.ndarray) and value.flags.writeable
+    ]
+    assert writable == []

@@ -35,7 +35,6 @@ from nandarrange.errors import (
     DimensionMismatch,
     InvalidArgument,
     LevelOutOfRange,
-    NonFiniteGradient,
     NonFiniteLoss,
     TooFewWordlines,
     TruncatedFile,
@@ -519,7 +518,7 @@ class TestBackward:
         # inf merely saturates the gates; nan actually poisons the pass
         pattern, params, netcfg, tensor = tiny_setup(seed=12)
         params.w_input[0, 0] = np.nan
-        with pytest.raises(NonFiniteGradient):
+        with pytest.raises(NonFiniteLoss):
             backward(pattern, params, netcfg, tensor)
 
 
@@ -543,6 +542,12 @@ class TestTrain:
              r"^gradient_clip_norm must be finite and positive, or None$"),
             ("gradient_clip_norm", float("inf"),
              r"^gradient_clip_norm must be finite and positive, or None$"),
+            # Integers past the float range.
+            pytest.param("learning_rate", 10**400, r"^learning_rate must be finite and positive$",
+                         id="learning_rate-int-past-float"),
+            pytest.param("gradient_clip_norm", 10**400,
+                         r"^gradient_clip_norm must be finite and positive, or None$",
+                         id="gradient_clip_norm-int-past-float"),
         ],
     )
     def test_rejects_bad_optimizer_settings(self, field, value, message):

@@ -87,7 +87,9 @@ def test_config_rejects_negative_fields():
 
 
 @pytest.mark.parametrize("field", ["coupling", "time", "saturation_gain", "noise_sigma"])
-@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize(
+    "value", [float("inf"), float("nan"), pytest.param(10**400, id="int-past-float")]
+)
 def test_config_rejects_non_finite_fields(field, value):
     with pytest.raises(InvalidArgument):
         RetentionConfig(**{field: value})
@@ -99,6 +101,7 @@ def test_config_rejects_non_finite_fields(field, value):
         {"coupling": 1e200, "time": 1e200},
         {"coupling": 1e300, "saturation_gain": 1e10},
         {"time": 1e308},
+        {"coupling": 10**300, "time": 10**300},  # an int product past the float range
     ],
 )
 def test_config_rejects_overflowing_drift(fields):
@@ -486,7 +489,7 @@ class TestTwoThreads:
         gather, calls = retention.gather_triples, []
 
         def failing(*args):
-            calls.append(args[3])
+            calls.append(args[2])
             if len(calls) == 4:
                 raise RuntimeError("gather failed")
             gather(*args)

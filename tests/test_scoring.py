@@ -15,7 +15,7 @@ from nandarrange import (
     cell_score,
 )
 from nandarrange import core
-from nandarrange.errors import LevelOutOfRange, TooFewWordlines
+from nandarrange.errors import DimensionMismatch, LevelOutOfRange, TooFewWordlines
 from nandarrange.scoring import (
     _EXACT_BLOCK_CELLS,
     _block_width,
@@ -185,32 +185,40 @@ class TestBlockScore:
         with pytest.raises(TooFewWordlines, match=r"^score tensor needs >= 3 wordlines, got 2$"):
             build_score_tensor(short, CFG)
 
+    @pytest.mark.parametrize("score", [block_score, build_score_tensor])
+    @pytest.mark.parametrize("shape", [(5, 8), (4, 9)])
+    def test_rejects_a_pattern_of_another_shape(self, score, shape):
+        # One shape check per pass, ahead of the first cell read.
+        pattern = BlockPattern(np.zeros(shape, dtype=np.uint8))
+        message = rf"^pattern is {shape[0]}x{shape[1]}, config wants 4x8$"
+        with pytest.raises(DimensionMismatch, match=message):
+            score(pattern, CFG)
+
 
 def test_gather_refuses_a_non_contiguous_output():
     # take would fill a strided output through a hidden copy of it, so the
     # gather refuses one, and any run outside the interior, before writing.
     table = np.arange(16**3, dtype=np.float64).reshape(16, 16, 16)
-    cfg = ArchConfig(num_wordlines=5, cells_per_page=4)
     x = np.random.default_rng(3).integers(0, 16, size=(5, 4), dtype=np.uint8)
     index = np.empty(12, dtype=np.uint16)
     out = np.zeros(24)[::2]
     with pytest.raises(ValueError, match="C-contiguous"):
-        gather_triples(table, BlockPattern(x), cfg, 0, out, index)
+        gather_triples(table, BlockPattern(x), 0, out, index)
     assert not out.any()
     with pytest.raises(ValueError, match="one-dimensional"):
-        gather_triples(table, BlockPattern(x), cfg, 0, np.zeros((3, 4)), index)
+        gather_triples(table, BlockPattern(x), 0, np.zeros((3, 4)), index)
     with pytest.raises(ValueError, match="index buffer"):
-        gather_triples(table, BlockPattern(x), cfg, 0, np.zeros(12), index[:11])
+        gather_triples(table, BlockPattern(x), 0, np.zeros(12), index[:11])
     with pytest.raises(ValueError, match=r"^interior cells 5\.\.13 outside 0\.\.12$"):
-        gather_triples(table, BlockPattern(x), cfg, 5, np.zeros(8), index)
+        gather_triples(table, BlockPattern(x), 5, np.zeros(8), index)
     with pytest.raises(ValueError, match=r"^interior cells -1\.\.1 outside 0\.\.12$"):
-        gather_triples(table, BlockPattern(x), cfg, -1, np.zeros(2), index)
+        gather_triples(table, BlockPattern(x), -1, np.zeros(2), index)
     expected = table[x[:-2], x[1:-1], x[2:]].reshape(-1)
     contiguous = np.empty(12)
-    gather_triples(table, BlockPattern(x), cfg, 0, contiguous, index)
+    gather_triples(table, BlockPattern(x), 0, contiguous, index)
     assert np.array_equal(contiguous, expected)
     run = np.empty(5)  # interior cells 3 to 7, across the end of the first row
-    gather_triples(table, BlockPattern(x), cfg, 3, run, index)
+    gather_triples(table, BlockPattern(x), 3, run, index)
     assert np.array_equal(run, expected[3:8])
 
 
