@@ -120,13 +120,14 @@ class ArchConfig:
             raise InvalidArgument(f"cells_per_page must be positive, got {self.cells_per_page}")
         if not all(0 < v <= sys.float_info.max for v in (self.k1, self.k2, self.alpha)):
             raise InvalidArgument("k1, k2 and alpha must all be positive and finite")
-        # Bound the divisor alpha (k1 + k2), a page triple's numerator
-        # k2 M + k1 M' (M <= 1280 C, 5 * 16 * 16 per cell) and the block score
-        # over N - 2 triples; the factors 2 cover the rounding of the sums. An
-        # integer past the float range raises OverflowError on the way.
+        # Bound, in floats as the scores are, the divisor alpha (k1 + k2), a page
+        # triple's numerator k2 M + k1 M' (M <= 1280 C, 5 * 16 * 16 per cell)
+        # and the block score over N - 2 triples; the factors 2 cover rounding.
+        # float() of an integer past the float range raises OverflowError.
         try:
-            scale = self.alpha * (self.k1 + self.k2)
-            numerator = 2 * max(self.k1, self.k2) * 1280 * self.cells_per_page
+            k1, k2, alpha = float(self.k1), float(self.k2), float(self.alpha)
+            scale = alpha * (k1 + k2)
+            numerator = 2 * max(k1, k2) * 1280 * self.cells_per_page
             in_range = 0 < scale < math.inf and math.isfinite(
                 numerator / scale * 2 * (self.num_wordlines - 2)
             )

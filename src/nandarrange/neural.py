@@ -193,7 +193,8 @@ def _head_arrays(netcfg: NetworkConfig, n: int) -> tuple[list[np.ndarray], np.nd
 
 
 class _Workspace(_Forward):
-    """Every array one forward-and-backward pass over n steps writes.
+    """Every array one forward-and-backward pass writes, over the network's
+    n = output_dim steps: _score_rows admits only blocks of n wordlines.
 
     ``train`` builds one per run and every step writes into it; ``backward``
     builds a fresh one per call. The row views each loop walks are built here
@@ -202,38 +203,38 @@ class _Workspace(_Forward):
     vector in checkpoint order.
     """
 
-    def __init__(self, netcfg: NetworkConfig, n: int):
+    def __init__(self, netcfg: NetworkConfig):
+        h, n = netcfg.hidden_size, netcfg.output_dim
         super().__init__(netcfg, n)
-        h, out = netcfg.hidden_size, netcfg.output_dim
         m = max(n - 2, 0)  # consecutive position triples
         self.relu, self.p = _head_arrays(netcfg, n)
         self.inputs = [self.hidden, *self.relu]  # inputs[k] is the input of head layer k
 
         # Non-repetition transform.
-        self.psg = np.empty((n, out))
-        self.prior = np.empty((n, out))
+        self.psg = np.empty((n, n))
+        self.prior = np.empty((n, n))
         self.prior[:1] = 1.0
-        self.vec_out = np.empty(out)
+        self.vec_out = np.empty(n)
         self.seqgen_steps = _seqgen_steps(self.p, self.prior, self.psg)
 
         # Score contraction over the consecutive position triples.
-        self.u_s = np.empty((m, out * out))
-        self.g_mid = np.empty((m, out, 1))
-        self.g_last = np.empty((m, 1, out))
-        self.vw = np.empty((m, out, out))
-        self.g_first = np.empty((m, out))
-        self.triples = np.empty((m, out))
-        self.g_psg = np.empty((n, out))
+        self.u_s = np.empty((m, n * n))
+        self.g_mid = np.empty((m, n, 1))
+        self.g_last = np.empty((m, 1, n))
+        self.vw = np.empty((m, n, n))
+        self.g_first = np.empty((m, n))
+        self.triples = np.empty((m, n))
+        self.g_psg = np.empty((n, n))
 
         # Reverse non-repetition recursion: g_prior has a zero row past the last.
-        self.direct = np.empty((n, out))
-        self.decay = np.empty((n, out))
-        self.g_prior = np.zeros((n + 1, out))
+        self.direct = np.empty((n, n))
+        self.decay = np.empty((n, n))
+        self.g_prior = np.zeros((n + 1, n))
         self.prior_steps = tuple(zip(
             self.decay[1:], self.g_prior[2:], self.g_prior[1:-1], self.direct[1:]
         ))[::-1]
-        self.g_p = np.empty((n, out))
-        self.g_logits = np.empty((n, out))
+        self.g_p = np.empty((n, n))
+        self.g_logits = np.empty((n, n))
         self.row = np.empty((n, 1))
 
         # Head backward: g_inputs[k] is the gradient of inputs[k].
@@ -408,16 +409,12 @@ def _score_rows(
 
 
 def _backward_into(
-    ws: _Workspace,
-    x: np.ndarray,
-    params: NetworkParams,
-    s_flat: np.ndarray,
-    s_flat_t: np.ndarray,
+    ws: _Workspace, x: np.ndarray, params: NetworkParams, s_flat: np.ndarray
 ) -> float:
     """Loss -S_m for one block; the gradient of every parameter goes to ws.grad.
 
-    ``x`` is the block's scaled levels, ``s_flat`` its score tensor as
-    (N, N*N) rows and ``s_flat_t`` that matrix's transpose. See ``backward``.
+    ``x`` is the block's scaled levels and ``s_flat`` its score tensor as
+    (N, N*N) rows, both checked against ws's network. See ``backward``.
     """
     _lstm_into(ws, x, params)
     p = _head_into(ws.relu, ws.p, ws.hidden, params)
@@ -432,7 +429,7 @@ def _backward_into(
     g_mid = np.matmul(u_s, w[:, :, None], out=ws.g_mid)[:, :, 0]
     g_last = np.matmul(v[:, None, :], u_s, out=ws.g_last)[:, 0, :]
     vw = np.multiply(v[:, :, None], w[:, None, :], out=ws.vw).reshape(n - 2, n * n)
-    g_first = np.matmul(vw, s_flat_t, out=ws.g_first)
+    g_first = np.matmul(vw, s_flat.T, out=ws.g_first)
     loss = -float(np.multiply(g_last, w, out=ws.triples).sum())
     g_psg.fill(0.0)
     g_psg[2:] -= g_last
@@ -527,8 +524,8 @@ def backward(
     """
     s_flat = _score_rows(pattern, netcfg, score_tensor)
     x = _scaled_levels(pattern, netcfg)
-    ws = _Workspace(netcfg, pattern.num_wordlines)
-    loss = _backward_into(ws, x, params, s_flat, s_flat.T)
+    ws = _Workspace(netcfg)
+    loss = _backward_into(ws, x, params, s_flat)
     return loss, ws.grad
 
 
@@ -564,12 +561,11 @@ def train(
         raise InvalidArgument(f"{len(tensors)} score tensors for {len(dataset)} blocks")
     inputs = []
     for block, tensor in zip(dataset, tensors):
-        s_flat = _score_rows(block, netcfg, tensor)
-        inputs.append((_scaled_levels(block, netcfg), s_flat, s_flat.T))
+        inputs.append((_scaled_levels(block, netcfg), _score_rows(block, netcfg, tensor)))
     rng = np.random.default_rng(traincfg.seed)
     params = init_params(netcfg, rng)
 
-    ws = _Workspace(netcfg, netcfg.output_dim)
+    ws = _Workspace(netcfg)
     flat, g = params.flat, ws.grad.flat
     square = np.empty_like(flat)
     square_views = NetworkParams(square, _param_shapes(netcfg)).tensors()
@@ -587,8 +583,8 @@ def train(
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 for idx in order:
-                    x, s_flat, s_flat_t = inputs[idx]
-                    loss = _backward_into(ws, x, params, s_flat, s_flat_t)
+                    x, s_flat = inputs[idx]
+                    loss = _backward_into(ws, x, params, s_flat)
                     np.multiply(g, g, out=square)
                     if clip is not None:
                         # Not the builtin sum: it compensates float sums from Python 3.12.

@@ -28,7 +28,7 @@ from .core import (
     second_thread,
     validate_pattern,
 )
-from .errors import LevelOutOfRange, TooFewWordlines
+from .errors import LevelOutOfRange
 
 _tensor_builds = 0
 
@@ -139,12 +139,9 @@ def block_score(pattern: BlockPattern, cfg: ArchConfig) -> float:
     with np.sum, and adds the leaf sums up the same tree. The 128 floor makes
     every node numpy sums without splitting a leaf, whatever the budget.
     Memory is the leaf buffer, its uint16 index and take's intp copy of it:
-    about 2.25 MiB at the default budget, whatever N and C.
+    about 2.25 MiB at the default budget, whatever N and C. A pattern not of
+    cfg's shape raises DimensionMismatch; cfg's N >= 3 leaves a triple to sum.
     """
-    if pattern.num_wordlines < 3:
-        raise TooFewWordlines(
-            f"block score needs >= 3 wordlines, got {pattern.num_wordlines}"
-        )
     validate_pattern(pattern, cfg)
     table = score_table(cfg)
     count = (pattern.num_wordlines - 2) * pattern.cells_per_page
@@ -231,13 +228,9 @@ def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     Memory is O(N^2 k + N^3) whatever C: the float32 block (both halves
     together) stays within core.CHUNK_BYTES (or one column), the matmul
     output is N^3 float32, and the float64 tensor doubles as the
-    accumulator.
+    accumulator. A pattern not of cfg's shape raises DimensionMismatch.
     """
     global _tensor_builds
-    if pattern.num_wordlines < 3:
-        raise TooFewWordlines(
-            f"score tensor needs >= 3 wordlines, got {pattern.num_wordlines}"
-        )
     validate_pattern(pattern, cfg)
     n, c = pattern.cells.shape
     width = min(_block_width(n), c)

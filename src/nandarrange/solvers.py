@@ -239,13 +239,14 @@ def greedy_arrange(pattern: BlockPattern, cfg: ArchConfig) -> SolverResult:
 def simulated_annealing(
     pattern: BlockPattern,
     cfg: ArchConfig,
-    schedule: AnnealSchedule | None = None,
+    schedule: AnnealSchedule = AnnealSchedule(),
 ) -> SolverResult:
     """Swap-neighborhood Metropolis search seeded from the greedy arrangement.
 
     Each step proposes swapping two uniformly chosen positions, accepts
     improvements outright and regressions with probability exp(delta/T), then
     cools T by the schedule factor. The best state ever visited is returned.
+    The default schedule is one shared AnnealSchedule(), safe as it is frozen.
 
     Every draw and decision is that of this rule on exact scores, where delta
     is _seq_score of the candidate minus _seq_score of the current order. A
@@ -282,8 +283,6 @@ def simulated_annealing(
     beta underflows to 0, every sum involved is below 2**-1022, where float
     addition is exact and d == delta.
     """
-    if schedule is None:
-        schedule = AnnealSchedule()
     started = time.perf_counter()
     n = pattern.num_wordlines
     tensor = build_score_tensor(pattern, cfg)

@@ -294,6 +294,25 @@ class TestTrainCommand:
         assert not model.exists()
         assert not (tmp_path / "model.pdaw.loss.csv").exists()
 
+    def test_integer_coefficients_past_the_float_range_exit_1(self, tmp_path, capsys):
+        # Their exact integer scale 10**600 is finite, its float is not: the
+        # config is refused up front, not by an OverflowError mid-build.
+        data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=4)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "arch": {"k1": 10**300, "k2": 1, "alpha": 10**300}, "train": {"epochs": 1},
+        }))
+        model = tmp_path / "model.pdaw"
+        code, stdout, err = run(
+            ["train", "--data-dir", str(data), "--config", str(cfg_path), "--out-model", str(model)],
+            capsys,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: InvalidArgument: ") and "outside the float range" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not model.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=8)
         bad = tmp_path / "bad.json"

@@ -80,6 +80,9 @@ class TestArchConfig:
             dict(num_wordlines=10**400),
             dict(cells_per_page=10**400),
             dict(k1=10**300, cells_per_page=10**10),
+            # Integers whose exact product passes the float range: their scale
+            # used to raise OverflowError in the score-tensor build.
+            dict(k1=10**300, k2=1, alpha=10**300),
         ],
     )
     def test_rejects_coefficients_whose_scores_overflow(self, kwargs):
@@ -304,6 +307,13 @@ def test_chunks_split_the_range_in_order(count, item_bytes, budget):
 class TestHelperThread:
     def test_usable_cpus_follow_the_affinity_mask(self):
         assert core.usable_cpus() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("count, expected", [(3, 3), (None, 1)])
+    def test_usable_cpus_without_affinity_count_the_host(self, monkeypatch, count, expected):
+        # Platforms without CPU affinity (macOS, Windows) have no sched_getaffinity.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert core.usable_cpus() == expected
 
     def test_second_thread_needs_two_cpus_and_two_chunks(self, cpus):
         cpus(1)

@@ -876,7 +876,7 @@ class TestFlatParams:
         assert sum(np.linalg.norm(g) > 5.0 for g in feed) >= 5
         calls = iter(range(20))
 
-        def fed_backward(ws, x, params, s_flat, s_flat_t):
+        def fed_backward(ws, x, params, s_flat):
             ws.grad.flat[:] = feed[next(calls)]
             return 0.0
 
