@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data_io, neural, scoring, solvers
-from .core import ArchConfig, BlockPattern, apply_permutation, check_seed
+from .core import ArchConfig, BlockPattern, apply_permutation, brief, check_seed
 from .errors import ArrangeError, InvalidArgument, NonFiniteLoss
 from .retention import RetentionConfig, channel_ber
 
@@ -135,7 +135,9 @@ def _section(document: dict, name: str, **fixed):
     values = document.get(name, {})
     for key, value in fixed.items():
         if key in values and values[key] != value:
-            raise InvalidArgument(f"{name}.{key}={values[key]!r} disagrees with the data's {value}")
+            raise InvalidArgument(
+                f"{name}.{key}={brief(values[key])} disagrees with the data's {value}"
+            )
     return _SECTIONS[name](**{**values, **fixed})
 
 
@@ -144,7 +146,7 @@ def _section(document: dict, name: str, **fixed):
 
 def cmd_gen(args) -> int:
     if args.blocks < 1:
-        raise InvalidArgument(f"--blocks must be positive, got {args.blocks}")
+        raise InvalidArgument(f"--blocks must be positive, got {brief(args.blocks)}")
     cfg = ArchConfig(num_wordlines=args.wordlines, cells_per_page=args.cells)
     check_seed(args.seed)
     out = Path(args.out)
@@ -256,7 +258,7 @@ def cmd_train(args) -> int:
         return total / len(train_blocks)
 
     initial = mean_expected(neural.init_params(netcfg, traincfg.seed))
-    params, history = neural.train(train_blocks, netcfg, traincfg, cfg, tensors=tensors)
+    params, history = neural.train(train_blocks, netcfg, traincfg, tensors)
     final = mean_expected(params)
 
     neural.save_checkpoint(args.out_model, params, netcfg)

@@ -89,10 +89,18 @@ def on_helper_thread(work: Callable[[], object]):
         raise failure[0]
 
 
+def brief(value) -> str:
+    """``value`` as a refusal message shows it: in full, except an integer of
+    more than 64 bits (str() refuses past 4,300 digits), shown by its size."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+    return str(value)
+
+
 def check_seed(seed: int) -> None:
     """Raise InvalidArgument unless seed >= 0, the range every seeded stream takes."""
     if seed < 0:
-        raise InvalidArgument(f"seed must be non-negative, got {seed}")
+        raise InvalidArgument(f"seed must be non-negative, got {brief(seed)}")
 
 
 @dataclass(frozen=True)
@@ -114,10 +122,13 @@ class ArchConfig:
     def __post_init__(self):
         if self.num_wordlines < 3:
             raise InvalidArgument(
-                f"num_wordlines must be >= 3 (a wordline triple must exist), got {self.num_wordlines}"
+                "num_wordlines must be >= 3 (a wordline triple must exist), "
+                f"got {brief(self.num_wordlines)}"
             )
         if self.cells_per_page < 1:
-            raise InvalidArgument(f"cells_per_page must be positive, got {self.cells_per_page}")
+            raise InvalidArgument(
+                f"cells_per_page must be positive, got {brief(self.cells_per_page)}"
+            )
         if not all(0 < v <= sys.float_info.max for v in (self.k1, self.k2, self.alpha)):
             raise InvalidArgument("k1, k2 and alpha must all be positive and finite")
         # Bound, in floats as the scores are, the divisor alpha (k1 + k2), a page
@@ -135,8 +146,9 @@ class ArchConfig:
             in_range = False
         if not in_range:
             raise InvalidArgument(
-                f"k1={self.k1}, k2={self.k2}, alpha={self.alpha} put the scores of a "
-                f"{self.num_wordlines}x{self.cells_per_page} block outside the float range"
+                f"k1={brief(self.k1)}, k2={brief(self.k2)}, alpha={brief(self.alpha)} put the "
+                f"scores of a {brief(self.num_wordlines)}x{brief(self.cells_per_page)} block "
+                "outside the float range"
             )
 
 
@@ -227,7 +239,7 @@ def _bijection_fault(order: tuple[int, ...]) -> str:
         seen.add(value)
     kind = "repeats" if value in seen else "is out of range"
     return (
-        f"not a bijection on 0..{n - 1} (N={n}): entry {value} {kind}, "
+        f"not a bijection on 0..{n - 1} (N={n}): entry {brief(value)} {kind}, "
         f"page {missing} is missing"
     )
 

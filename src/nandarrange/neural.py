@@ -4,10 +4,11 @@ An LSTM embeds the page sequence (one step per wordline, inputs are levels
 scaled into [0,1], no layer normalization); a linear head plus softmax turns
 each step's hidden state into a distribution over source pages for that
 physical position. Training transforms the position probabilities into
-non-repeating sequence-generation probabilities, contracts them with the
-triple-score tensor into an expected arrangement score S_m, and minimizes
--S_m with exact hand-rolled backpropagation through the whole chain.
-Inference never touches the score tensor: decode the probability matrix
+non-repeating sequence-generation probabilities, contracts them with each
+block's triple-score tensor into an expected arrangement score S_m, and
+minimizes -S_m with exact hand-rolled backpropagation through the whole
+chain. The caller builds those tensors: this module imports no scorer.
+Inference never touches a score tensor: decode the probability matrix
 greedily into a bijection and you are done.
 
 Parameter layout: the four LSTM gates are stacked as row blocks in the order
@@ -40,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ArchConfig, BlockPattern, Permutation, check_seed
+from .core import BlockPattern, Permutation, brief, check_seed
 from .data_io import pack_header, unpack_header
 from .errors import (
     CodecError,
@@ -49,7 +50,6 @@ from .errors import (
     NonFiniteLoss,
     TooFewWordlines,
 )
-from .scoring import build_score_tensor
 
 CHECKPOINT_MAGIC = b"PDAW"
 
@@ -70,10 +70,10 @@ class NetworkConfig:
         if self.input_dim < 1 or self.output_dim < 1:
             raise InvalidArgument("input_dim and output_dim must be positive")
         if self.hidden_size < 1:
-            raise InvalidArgument(f"hidden_size must be >= 1, got {self.hidden_size}")
+            raise InvalidArgument(f"hidden_size must be >= 1, got {brief(self.hidden_size)}")
         if self.num_linear_layers not in (1, 2):
             raise InvalidArgument(
-                f"num_linear_layers must be 1 or 2, got {self.num_linear_layers}"
+                f"num_linear_layers must be 1 or 2, got {brief(self.num_linear_layers)}"
             )
 
 
@@ -88,14 +88,14 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise InvalidArgument(f"epochs must be >= 1, got {self.epochs}")
+            raise InvalidArgument(f"epochs must be >= 1, got {brief(self.epochs)}")
         check_seed(self.seed)
         if not 0 < self.learning_rate <= sys.float_info.max:
             raise InvalidArgument("learning_rate must be finite and positive")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
-                raise InvalidArgument(f"{name} must lie in (0,1), got {value}")
+                raise InvalidArgument(f"{name} must lie in (0,1), got {brief(value)}")
         clip = self.gradient_clip_norm
         if clip is not None and not 0 < clip <= sys.float_info.max:
             raise InvalidArgument("gradient_clip_norm must be finite and positive, or None")
@@ -533,21 +533,18 @@ def train(
     dataset: list[BlockPattern],
     netcfg: NetworkConfig,
     traincfg: TrainConfig,
-    cfg: ArchConfig,
-    *,
-    tensors: list[np.ndarray] | None = None,
+    tensors: list[np.ndarray],
 ) -> tuple[NetworkParams, list[float]]:
     """Train on the given blocks, one adaptive-moment step per block.
 
-    Blocks are shuffled every epoch from the run seed. Score tensors are built
-    once per block up front unless the caller passes them in dataset order
-    (scoring happens only here, never at inference). Every block and tensor
-    shape is checked against ``netcfg`` before the first step, and each
-    block's scaled levels and reshaped tensor are made once per run. All steps
-    write into one workspace. Adam and gradient clipping act on the flat
-    parameter vector in place; the clip norm adds the per-tensor sums of
-    squares in checkpoint order. Returns the final parameters and the
-    per-epoch mean training loss.
+    Blocks are shuffled every epoch from the run seed. The caller passes one
+    score tensor per block, in dataset order; this module never builds one.
+    Every block and tensor shape is checked against ``netcfg`` before the
+    first step, and each block's scaled levels and reshaped tensor are made
+    once per run. All steps write into one workspace. Adam and gradient
+    clipping act on the flat parameter vector in place; the clip norm adds
+    the per-tensor sums of squares in checkpoint order. Returns the final
+    parameters and the per-epoch mean training loss.
 
     Every step runs with numpy overflow, invalid and divide errors raised, so
     a non-finite loss, gradient or parameter anywhere in an epoch raises
@@ -555,9 +552,7 @@ def train(
     """
     if not dataset:
         raise InvalidArgument("training dataset is empty")
-    if tensors is None:
-        tensors = [build_score_tensor(block, cfg) for block in dataset]
-    elif len(tensors) != len(dataset):
+    if len(tensors) != len(dataset):
         raise InvalidArgument(f"{len(tensors)} score tensors for {len(dataset)} blocks")
     inputs = []
     for block, tensor in zip(dataset, tensors):

@@ -39,6 +39,7 @@ from .core import (
     LEVELS,
     ArchConfig,
     BlockPattern,
+    brief,
     check_seed,
     chunk_size,
     chunks,
@@ -77,7 +78,7 @@ class RetentionConfig:
         for name in ("coupling", "time", "saturation_gain", "noise_sigma"):
             value = getattr(self, name)
             if not 0 <= value <= sys.float_info.max:
-                raise InvalidArgument(f"{name} must be finite and non-negative, got {value}")
+                raise InvalidArgument(f"{name} must be finite and non-negative, got {brief(value)}")
         check_seed(self.seed)
         # The largest drift any cell can take must stay finite, or inf * 0 makes NaN;
         # float() lets an integer product overflow to inf, not raise OverflowError.

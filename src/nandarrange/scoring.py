@@ -23,6 +23,7 @@ from .core import (
     LEVELS,
     ArchConfig,
     BlockPattern,
+    brief,
     chunk_size,
     on_helper_thread,
     second_thread,
@@ -41,7 +42,7 @@ def tensor_build_count() -> int:
 def _check_level(name: str, value: int) -> int:
     value = int(value)
     if not 0 <= value < LEVELS:
-        raise LevelOutOfRange(f"{name} level {value} outside 0..{LEVELS - 1}")
+        raise LevelOutOfRange(f"{name} level {brief(value)} outside 0..{LEVELS - 1}")
     return value
 
 

@@ -38,7 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural
-from .core import ArchConfig, BlockPattern, Permutation, apply_permutation, check_seed, chunks
+from .core import (
+    ArchConfig, BlockPattern, Permutation, apply_permutation, brief, check_seed, chunks
+)
 from .errors import InvalidArgument, TooManyWordlines
 from .scoring import block_score, build_score_tensor
 
@@ -76,9 +78,11 @@ class AnnealSchedule:
         if t0 is not None and not 0 < t0 <= sys.float_info.max:
             raise InvalidArgument("initial_temperature must be finite and positive, or None")
         if not 0.0 < self.cooling_factor < 1.0:
-            raise InvalidArgument(f"cooling_factor must lie in (0,1), got {self.cooling_factor}")
+            raise InvalidArgument(
+                f"cooling_factor must lie in (0,1), got {brief(self.cooling_factor)}"
+            )
         if self.iterations < 1:
-            raise InvalidArgument(f"iterations must be >= 1, got {self.iterations}")
+            raise InvalidArgument(f"iterations must be >= 1, got {brief(self.iterations)}")
         check_seed(self.seed)
 
 
@@ -162,7 +166,7 @@ def random_search(
     The draws are sequential; they are scored in numpy chunks by
     _row_totals, the exact left-to-right sums exhaustive search takes."""
     if iterations < 1:
-        raise InvalidArgument(f"iterations must be >= 1, got {iterations}")
+        raise InvalidArgument(f"iterations must be >= 1, got {brief(iterations)}")
     check_seed(seed)
     started = time.perf_counter()
     tensor = build_score_tensor(pattern, cfg)

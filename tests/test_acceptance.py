@@ -181,7 +181,8 @@ def desk_training_run():
 
     started = time.perf_counter()
     initial_sm, initial_rowmax = metrics(na.init_params(netcfg, seed=DESK_RUN_SEED))
-    params, history = na.train(train_blocks, netcfg, traincfg, cfg)
+    tensors = [na.build_score_tensor(block, cfg) for block in train_blocks]
+    params, history = na.train(train_blocks, netcfg, traincfg, tensors)
     elapsed = time.perf_counter() - started
     final_sm, final_rowmax = metrics(params)
 

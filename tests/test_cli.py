@@ -313,6 +313,22 @@ class TestTrainCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not model.exists()
 
+    def test_a_401_digit_network_width_is_refused_in_one_short_line(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=4)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"network": {"input_dim": 10**400}}))
+        model = tmp_path / "model.pdaw"
+        code, stdout, err = run(
+            ["train", "--data-dir", str(data), "--config", str(cfg_path), "--out-model", str(model)],
+            capsys,
+        )
+        assert (code, stdout) == (1, "")
+        assert err == (
+            "error: InvalidArgument: "
+            "network.input_dim=<1329-bit integer> disagrees with the data's 4\n"
+        )
+        assert not model.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=8)
         bad = tmp_path / "bad.json"
@@ -664,6 +680,20 @@ def test_gen_geometry_past_the_float_range_exits_1(tmp_path, capsys, flag):
     assert err.startswith("error: InvalidArgument: ") and err.count("\n") == 1
     assert "outside the float range" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "big").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--wordlines", 10**400), ("--cells", 10**400), ("--blocks", -10**400), ("--seed", -10**400)],
+    ids=["wordlines", "cells", "blocks", "seed"],
+)
+def test_gen_refuses_a_401_digit_integer_in_one_short_line(tmp_path, capsys, flag, value):
+    argv = ["gen", "--out", str(tmp_path / "big"), "--blocks", "1", "--wordlines", "4", "--cells", "4"]
+    code, out, err = run(argv + [flag, str(value)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: InvalidArgument: ") and err.count("\n") == 1
+    assert "<1329-bit integer>" in err and len(err) <= 200
     assert not (tmp_path / "big").exists()
 
 

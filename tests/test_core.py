@@ -12,8 +12,10 @@ from nandarrange import (
     AnnealSchedule,
     ArchConfig,
     BlockPattern,
+    NetworkConfig,
     Permutation,
     RetentionConfig,
+    TrainConfig,
     apply_permutation,
     block_score,
     build_score_tensor,
@@ -520,3 +522,85 @@ def test_every_budget_gives_the_default_outputs(kind):
                 assert np.array_equal(got[key], value), (budget, key)
             else:
                 assert got[key] == value, (budget, key)
+
+
+HUGE = 10**5000  # str() refuses an integer past 4,300 digits
+LONG = 10**400  # printed in full, its 401 digits would swamp the message
+
+# (site, error, the values of +-HUGE and LONG it refuses): every library
+# refusal that prints a number its caller passed in. test_cli.py covers the
+# command line's own.
+REFUSAL_SITES = {
+    "check_seed": (core.check_seed, InvalidArgument, (-HUGE,)),
+    "ArchConfig.num_wordlines": (
+        lambda v: ArchConfig(num_wordlines=v), InvalidArgument, (HUGE, -HUGE, LONG)
+    ),
+    "ArchConfig.cells_per_page": (
+        lambda v: ArchConfig(cells_per_page=v), InvalidArgument, (HUGE, -HUGE, LONG)
+    ),
+    "ArchConfig.k1": (  # with alpha = k1, alpha (k1 + k2) overflows a float from 10**300
+        lambda v: ArchConfig(k1=v, alpha=v), InvalidArgument, (HUGE, -HUGE, LONG, 10**300)
+    ),
+    "RetentionConfig.coupling": (
+        lambda v: RetentionConfig(coupling=v), InvalidArgument, (HUGE, -HUGE, LONG)
+    ),
+    "TrainConfig.epochs": (lambda v: TrainConfig(epochs=v), InvalidArgument, (-HUGE,)),
+    "TrainConfig.beta1": (lambda v: TrainConfig(beta1=v), InvalidArgument, (HUGE, -HUGE, LONG)),
+    "NetworkConfig.hidden_size": (
+        lambda v: NetworkConfig(input_dim=1, hidden_size=v, output_dim=3), InvalidArgument, (-HUGE,)
+    ),
+    "NetworkConfig.num_linear_layers": (
+        lambda v: NetworkConfig(input_dim=1, hidden_size=1, output_dim=3, num_linear_layers=v),
+        InvalidArgument,
+        (HUGE, -HUGE, LONG),
+    ),
+    "AnnealSchedule.cooling_factor": (
+        lambda v: AnnealSchedule(cooling_factor=v), InvalidArgument, (HUGE, -HUGE, LONG)
+    ),
+    "AnnealSchedule.iterations": (
+        lambda v: AnnealSchedule(iterations=v), InvalidArgument, (-HUGE,)
+    ),
+    "random_search.iterations": (
+        lambda v: random_search(pattern_of([[0], [1], [2]]), ArchConfig(3, 1), v, 0),
+        InvalidArgument,
+        (-HUGE,),
+    ),
+    "Permutation": (lambda v: Permutation((v, 0, 1)), NotABijection, (HUGE, -HUGE, LONG)),
+    "scoring level": (
+        lambda v: scoring.ae_coefficient(0, v, 0), LevelOutOfRange, (HUGE, -HUGE, LONG)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "site, value",
+    [
+        pytest.param(site, value, id=f"{site}-{core.brief(value)}")
+        for site, (_, _, values) in REFUSAL_SITES.items()
+        for value in values
+    ],
+)
+def test_refusals_of_huge_integers_stay_short(site, value):
+    refuse, error, _ = REFUSAL_SITES[site]
+    with pytest.raises(error) as info:
+        refuse(value)
+    assert len(str(info.value)) <= 200
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        pytest.param(value, shown, id=shown)  # pytest's own id would str() HUGE
+        for value, shown in [
+            (0, "0"),
+            (-(2**64) + 1, "-18446744073709551615"),
+            (2**64, "<65-bit integer>"),
+            (-HUGE, "-<16610-bit integer>"),
+            (0.5, "0.5"),
+            (1e300, "1e+300"),
+            (True, "True"),
+        ]
+    ],
+)
+def test_brief_prints_all_but_a_long_integer_in_full(value, shown):
+    assert core.brief(value) == shown

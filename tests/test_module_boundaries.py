@@ -1,6 +1,6 @@
 """Each module of the package uses only the public names of its siblings,
-only core makes or changes a BlockPattern past its constructor, and no
-module holds a writable array."""
+neural imports nothing from the scorer, only core makes or changes a
+BlockPattern past its constructor, and no module holds a writable array."""
 
 import ast
 import importlib
@@ -57,6 +57,62 @@ def test_no_module_reaches_into_a_sibling():
         path.name: found for path in sorted(PACKAGE.glob("*.py")) if (found := _crossings(path))
     }
     assert crossings == {}
+
+
+def _sibling_imports(path):
+    """Names of the sibling modules that the module at ``path`` imports, or
+    imports a name from."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "nandarrange" and len(parts) > 1:
+                    found.add(parts[1])
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1 and module:
+                found.add(module.split(".")[0])
+            elif module.startswith("nandarrange."):
+                found.add(module.split(".")[1])
+            elif (node.level == 1 and not module) or module == "nandarrange":
+                found.update(alias.name for alias in node.names if alias.name in MODULES)
+    return found
+
+
+def test_neural_imports_nothing_from_the_scorer():
+    # Training takes the score tensors its caller built and inference needs
+    # none, so no function in neural can build one.
+    assert "scoring" not in _sibling_imports(PACKAGE / "neural.py")
+
+
+def test_the_import_guard_sees_every_form(tmp_path):
+    forms = [
+        "from .scoring import build_score_tensor",
+        "from . import scoring",
+        "from nandarrange import scoring",
+        "from nandarrange.scoring import build_score_tensor",
+        "import nandarrange.scoring",
+    ]
+    for form in forms:
+        probe = tmp_path / "probe.py"
+        probe.write_text(f"{form}\nfrom .core import BlockPattern\nimport numpy\n")
+        assert _sibling_imports(probe) == {"scoring", "core"}, form
+
+
+def test_every_tracer_target_names_a_package_callable():
+    # bench/tracer.py wraps its targets by name, so a rename breaks only a
+    # traced benchmark run. Its source is compiled and run here, not imported,
+    # so the check writes nothing under bench/.
+    path = Path(__file__).parents[1] / "bench" / "tracer.py"
+    namespace = {"__name__": "tracer"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    missing = [
+        f"{module}.{function}"
+        for module, function, _ in namespace["TARGETS"]
+        if not callable(getattr(importlib.import_module(f"nandarrange.{module}"), function, None))
+    ]
+    assert namespace["TARGETS"] and missing == []
 
 
 def test_the_guard_sees_both_kinds_of_crossing(tmp_path):

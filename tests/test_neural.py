@@ -54,6 +54,10 @@ CFG4 = ArchConfig(num_wordlines=4, cells_per_page=8)
 NET4 = NetworkConfig(input_dim=8, hidden_size=4, output_dim=4)
 
 
+def score_tensors(blocks, cfg):
+    return [build_score_tensor(block, cfg) for block in blocks]
+
+
 def tiny_setup(seed=0, layers=1):
     netcfg = NetworkConfig(input_dim=8, hidden_size=4, output_dim=4, num_linear_layers=layers)
     pattern = gen_random_block(CFG4, seed=seed)
@@ -558,7 +562,7 @@ class TestTrain:
         netcfg = NetworkConfig(input_dim=8, hidden_size=4, output_dim=4)
         blocks = [gen_random_block(CFG4, seed=s) for s in range(4)]
         traincfg = TrainConfig(epochs=3, seed=2)
-        params, history = train(blocks, netcfg, traincfg, CFG4)
+        params, history = train(blocks, netcfg, traincfg, score_tensors(blocks, CFG4))
         assert len(history) == 3
         init = init_params(netcfg, seed=2)
         changed = any(
@@ -570,8 +574,9 @@ class TestTrain:
         netcfg = NetworkConfig(input_dim=8, hidden_size=4, output_dim=4)
         blocks = [gen_random_block(CFG4, seed=s) for s in range(3)]
         traincfg = TrainConfig(epochs=2, seed=4)
-        params_a, hist_a = train(blocks, netcfg, traincfg, CFG4)
-        params_b, hist_b = train(blocks, netcfg, traincfg, CFG4)
+        tensors = score_tensors(blocks, CFG4)
+        params_a, hist_a = train(blocks, netcfg, traincfg, tensors)
+        params_b, hist_b = train(blocks, netcfg, traincfg, tensors)
         assert hist_a == hist_b
         for a, b in zip(params_a.tensors(), params_b.tensors()):
             assert np.array_equal(a, b)
@@ -581,7 +586,7 @@ class TestTrain:
         netcfg = NetworkConfig(input_dim=8, hidden_size=4, output_dim=4, num_linear_layers=layers)
         blocks = [gen_random_block(CFG4, seed=s) for s in range(4)]
         traincfg = TrainConfig(epochs=3, seed=2)
-        params, history = train(blocks, netcfg, traincfg, CFG4)
+        params, history = train(blocks, netcfg, traincfg, score_tensors(blocks, CFG4))
         ref_params, ref_history = _reference_train(blocks, netcfg, traincfg, CFG4)
         for got, expected in zip(history, ref_history):
             assert relative_error(got, expected) <= 1e-12
@@ -609,7 +614,8 @@ class TestTrain:
         cfg = ArchConfig(num_wordlines=8, cells_per_page=32)
         blocks = [gen_random_block(cfg, seed=s) for s in range(10)]
         netcfg = NetworkConfig(input_dim=32, hidden_size=16, output_dim=8, num_linear_layers=layers)
-        params, history = train(blocks, netcfg, TrainConfig(epochs=3, seed=1), cfg)
+        traincfg = TrainConfig(epochs=3, seed=1)
+        params, history = train(blocks, netcfg, traincfg, score_tensors(blocks, cfg))
         assert hashlib.sha256(write_checkpoint(params, netcfg)).hexdigest() == model_digest
         assert hashlib.sha256(repr(history).encode()).hexdigest() == loss_digest
 
@@ -638,9 +644,10 @@ class TestTrain:
         blocks = [gen_random_block(cfg, seed=s) for s in range(70)]
         netcfg = NetworkConfig(input_dim=32, hidden_size=16, output_dim=8)
         traincfg = TrainConfig(epochs=1, seed=1)
-        plain, _ = train(blocks, netcfg, traincfg, cfg)
+        tensors = score_tensors(blocks, cfg)
+        plain, _ = train(blocks, netcfg, traincfg, tensors)
         monkeypatch.setattr(neural, "sum", compensated_sum, raising=False)
-        compensated, _ = train(blocks, netcfg, traincfg, cfg)
+        compensated, _ = train(blocks, netcfg, traincfg, tensors)
         assert compensated.flat.tobytes() == plain.flat.tobytes()
 
     @pytest.mark.parametrize(
@@ -666,7 +673,7 @@ class TestTrain:
         steps = []
         monkeypatch.setattr(neural, "_backward_into", lambda *args: steps.append(args))
         with pytest.raises(DimensionMismatch, match=message):
-            train(blocks, NET4, TrainConfig(epochs=1), CFG4, tensors=tensors)
+            train(blocks, NET4, TrainConfig(epochs=1), tensors)
         assert steps == []
 
     def test_uses_prebuilt_tensors(self):
@@ -675,18 +682,15 @@ class TestTrain:
         traincfg = TrainConfig(epochs=2, seed=4)
         tensors = [build_score_tensor(block, CFG4) for block in blocks]
         before = tensor_build_count()
-        params, history = train(blocks, netcfg, traincfg, CFG4, tensors=tensors)
+        train(blocks, netcfg, traincfg, tensors)
         assert tensor_build_count() == before
-        ref_params, ref_history = train(blocks, netcfg, traincfg, CFG4)
-        assert history == ref_history
-        assert np.array_equal(params.flat, ref_params.flat)
         with pytest.raises(InvalidArgument):
-            train(blocks, netcfg, traincfg, CFG4, tensors=tensors[:2])
+            train(blocks, netcfg, traincfg, tensors[:2])
 
     def test_empty_dataset_rejected(self):
         netcfg = NetworkConfig(input_dim=8, hidden_size=4, output_dim=4)
         with pytest.raises(InvalidArgument):
-            train([], netcfg, TrainConfig(epochs=1), CFG4)
+            train([], netcfg, TrainConfig(epochs=1), [])
 
     def test_divergence_raises_non_finite_loss_with_epoch(self):
         # One +inf score-tensor entry makes the very first loss non-finite.
@@ -695,7 +699,7 @@ class TestTrain:
         tensors = [build_score_tensor(block, CFG4) for block in blocks]
         tensors[1][0, 1, 2] = np.inf
         with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss) as info:
-            train(blocks, netcfg, TrainConfig(epochs=2, seed=0), CFG4, tensors=tensors)
+            train(blocks, netcfg, TrainConfig(epochs=2, seed=0), tensors)
         assert info.value.epoch == 0
 
     def test_overflow_raises_non_finite_loss_with_epoch(self):
@@ -705,7 +709,7 @@ class TestTrain:
         blocks, _ = split_dataset([gen_random_block(CFG4, seed=3 + k) for k in range(10)], 1)
         traincfg = TrainConfig(epochs=3, seed=1, learning_rate=1e307, gradient_clip_norm=None)
         with pytest.raises(NonFiniteLoss) as info:
-            train(blocks, NET4, traincfg, CFG4)
+            train(blocks, NET4, traincfg, score_tensors(blocks, CFG4))
         assert info.value.epoch == 0
 
 
@@ -883,7 +887,7 @@ class TestFlatParams:
         monkeypatch.setattr(neural, "_backward_into", fed_backward)
         traincfg = TrainConfig(epochs=5, seed=6, learning_rate=1e-2, gradient_clip_norm=clip)
         blocks = [gen_random_block(CFG4, seed=s) for s in range(4)]
-        params, _ = train(blocks, netcfg, traincfg, CFG4)
+        params, _ = train(blocks, netcfg, traincfg, score_tensors(blocks, CFG4))
 
         rng = np.random.default_rng(traincfg.seed)
         expected = init_params(netcfg, rng)
