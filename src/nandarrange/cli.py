@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import typing
 from contextlib import contextmanager
@@ -30,9 +31,16 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
+# A command-line value that argparse repeats whole in a usage error, quoted
+# ("invalid int value: '...'") or not ("unrecognized arguments: ...").
+_LONG_VALUE = re.compile(r"'?([^\s']{65,})'?")
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the contract reserves 2 for data.
     def error(self, message):
+        # Like core.brief: a long value is shown by its size.
+        message = _LONG_VALUE.sub(lambda m: f"<{len(m[1])}-character value>", message)
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
@@ -88,6 +96,21 @@ _SECTIONS = {
 }
 
 
+class _LongInteger:
+    """A run-config integer with more digits than int() reads; parse_run_config
+    refuses it as configuration."""
+
+    def __init__(self, digits: int):
+        self.digits = digits
+
+
+def _json_int(token: str):
+    try:
+        return int(token)
+    except ValueError:  # past the interpreter's limit on integer digits
+        return _LongInteger(len(token.lstrip("-")))
+
+
 def parse_run_config(document: dict) -> dict:
     """Check every section of a run-config mapping: its keys are fields of
     its dataclass, and each value has the JSON type the field's annotation
@@ -104,6 +127,10 @@ def parse_run_config(document: dict) -> dict:
         for key, value in values.items():
             if key not in hints:
                 raise InvalidArgument(f"unknown key '{key}' in '{name}'")
+            if isinstance(value, _LongInteger):
+                raise InvalidArgument(
+                    f"{name}.{key} is an integer of {value.digits} digits, too many to read"
+                )
             hint = hints[key]
             accepted = set(typing.get_args(hint)) or {hint}
             if float in accepted:
@@ -124,7 +151,9 @@ def _read_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     with _reading(f"config {path}"):
-        document = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_not_json)
+        document = json.loads(
+            Path(path).read_text(encoding="utf-8"), parse_int=_json_int, parse_constant=_not_json
+        )
     return parse_run_config(document)
 
 

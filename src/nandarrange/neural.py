@@ -15,7 +15,7 @@ Parameter layout: the four LSTM gates are stacked as row blocks in the order
 input, forget, cell-candidate, output, so w_input is (4H, C), w_hidden is
 (4H, H) and bias is (4H,). All parameters live in one contiguous float64
 vector, NetworkParams.flat: w_input, w_hidden, bias, then the head's weight
-and bias per layer, each row-major, and the named attributes are views into
+(N, H) and bias (N,), each row-major, and the named attributes are views into
 it. Adam, gradient clipping and the checkpoint body act on that one vector.
 Checkpoints use the PDAW format; its body is ``flat`` as little-endian
 float64, and its layout is in the README "File formats" table.
@@ -28,8 +28,8 @@ forward-and-backward step writes, the gradient vector and the per-step row
 views are allocated once, and each step and its in-place Adam update write
 into them. ``backward`` runs the same code on a fresh workspace per call.
 Inference allocates only what it writes: ``lstm_forward`` a fresh
-``_Forward`` (the workspace's LSTM arrays), ``head_forward`` the head's
-outputs from ``_head_arrays``.
+``_Forward`` (the workspace's LSTM arrays), ``head_forward`` its probability
+matrix.
 """
 
 from __future__ import annotations
@@ -64,17 +64,12 @@ class NetworkConfig:
     input_dim: int
     hidden_size: int
     output_dim: int
-    num_linear_layers: int = 1
 
     def __post_init__(self):
         if self.input_dim < 1 or self.output_dim < 1:
             raise InvalidArgument("input_dim and output_dim must be positive")
         if self.hidden_size < 1:
             raise InvalidArgument(f"hidden_size must be >= 1, got {brief(self.hidden_size)}")
-        if self.num_linear_layers not in (1, 2):
-            raise InvalidArgument(
-                f"num_linear_layers must be 1 or 2, got {brief(self.num_linear_layers)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -105,9 +100,8 @@ class NetworkParams:
     """Named views into one contiguous float64 parameter vector ``flat``.
 
     The views follow the checkpoint order of ``tensors()``: w_input, w_hidden,
-    bias, then one (head_w[k], head_b[k]) pair per head layer. Writing to a
-    view writes to ``flat``, so the optimizer and the checkpoint codec act on
-    ``flat`` alone.
+    bias, head_w, head_b. Writing to a view writes to ``flat``, so the
+    optimizer and the checkpoint codec act on ``flat`` alone.
     """
 
     def __init__(self, flat: np.ndarray, shapes: list[tuple[int, ...]]):
@@ -120,9 +114,7 @@ class NetworkParams:
         if offset != flat.size:
             raise DimensionMismatch(f"{flat.size} parameters, shapes need {offset}")
         self.flat = flat
-        self.w_input, self.w_hidden, self.bias = views[:3]
-        self.head_w = views[3::2]
-        self.head_b = views[4::2]
+        self.w_input, self.w_hidden, self.bias, self.head_w, self.head_b = views
         self._views = views
 
     def tensors(self) -> list[np.ndarray]:
@@ -133,8 +125,7 @@ class NetworkParams:
 def _param_shapes(netcfg: NetworkConfig) -> list[tuple[int, ...]]:
     """Parameter shapes in checkpoint order; weights are 2-D (out, fan_in)."""
     h, c, n = netcfg.hidden_size, netcfg.input_dim, netcfg.output_dim
-    head = [(n, h), (n,)] if netcfg.num_linear_layers == 1 else [(h, h), (h,), (n, h), (n,)]
-    return [(4 * h, c), (4 * h, h), (4 * h,)] + head
+    return [(4 * h, c), (4 * h, h), (4 * h,), (n, h), (n,)]
 
 
 def init_params(netcfg: NetworkConfig, seed: int | np.random.Generator = 0) -> NetworkParams:
@@ -185,13 +176,6 @@ class _Forward:
         ))
 
 
-def _head_arrays(netcfg: NetworkConfig, n: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """What the head writes over n rows: the ReLU output of every layer but
-    the last, then p, the logits softmaxed in place."""
-    relu = [np.empty((n, netcfg.hidden_size)) for _ in range(netcfg.num_linear_layers - 1)]
-    return relu, np.empty((n, netcfg.output_dim))
-
-
 class _Workspace(_Forward):
     """Every array one forward-and-backward pass writes, over the network's
     n = output_dim steps: _score_rows admits only blocks of n wordlines.
@@ -207,8 +191,7 @@ class _Workspace(_Forward):
         h, n = netcfg.hidden_size, netcfg.output_dim
         super().__init__(netcfg, n)
         m = max(n - 2, 0)  # consecutive position triples
-        self.relu, self.p = _head_arrays(netcfg, n)
-        self.inputs = [self.hidden, *self.relu]  # inputs[k] is the input of head layer k
+        self.p = np.empty((n, n))  # the logits, softmaxed in place
 
         # Non-repetition transform.
         self.psg = np.empty((n, n))
@@ -237,9 +220,7 @@ class _Workspace(_Forward):
         self.g_logits = np.empty((n, n))
         self.row = np.empty((n, 1))
 
-        # Head backward: g_inputs[k] is the gradient of inputs[k].
-        self.g_inputs = [np.empty((n, h)) for _ in self.inputs]
-        self.relu_mask = [np.empty((n, h), dtype=bool) for _ in self.relu]
+        self.g_hidden = np.empty((n, h))  # head backward: dLoss/dhidden
 
         # LSTM backward. Row t+1 of dh_carry and dc_carry holds what step t
         # receives from step t+1; row n stays zero.
@@ -253,7 +234,7 @@ class _Workspace(_Forward):
         self.dh_carry = np.zeros((n + 1, h))
         self.dc_carry = np.zeros((n + 1, h))
         self.reverse_steps = tuple(zip(
-            self.g_inputs[0], self.dh_carry[1:], self.dc_carry[1:], self.dh_carry[:-1],
+            self.g_hidden, self.dh_carry[1:], self.dc_carry[1:], self.dh_carry[:-1],
             self.dc_carry[:-1], self.dc_dh, self.factors[:, :3], self.factors[:, 3],
             dz_gates[:, :3], dz_gates[:, 3], self.gf, self.dz,
         ))[::-1]
@@ -314,18 +295,10 @@ def _softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def _head_into(
-    relu: list[np.ndarray], p: np.ndarray, hidden: np.ndarray, params: NetworkParams
-) -> np.ndarray:
-    """Softmax probabilities of the head on ``hidden`` (N, H), written to p;
-    the ReLU outputs of the inner layers go to relu."""
-    layer_in = hidden
-    for w, b, out in zip(params.head_w, params.head_b, relu):
-        np.matmul(layer_in, w.T, out=out)
-        out += b
-        layer_in = np.maximum(out, 0.0, out=out)
-    logits = np.matmul(layer_in, params.head_w[-1].T, out=p)
-    logits += params.head_b[-1]
+def _head_into(p: np.ndarray, hidden: np.ndarray, params: NetworkParams) -> np.ndarray:
+    """Softmax probabilities of the head on ``hidden`` (N, H), written to p."""
+    logits = np.matmul(hidden, params.head_w.T, out=p)
+    logits += params.head_b
     return _softmax_rows(logits, out=logits)
 
 
@@ -339,7 +312,7 @@ def head_forward(
         raise DimensionMismatch(
             f"hidden states must be (*, {netcfg.hidden_size}), got {hidden.shape}"
         )
-    return _head_into(*_head_arrays(netcfg, hidden.shape[0]), hidden, params)
+    return _head_into(np.empty((hidden.shape[0], netcfg.output_dim)), hidden, params)
 
 
 def _seqgen_steps(p: np.ndarray, prior: np.ndarray, psg: np.ndarray) -> tuple:
@@ -417,7 +390,7 @@ def _backward_into(
     (N, N*N) rows, both checked against ws's network. See ``backward``.
     """
     _lstm_into(ws, x, params)
-    p = _head_into(ws.relu, ws.p, ws.hidden, params)
+    p = _head_into(ws.p, ws.hidden, params)
     _seqgen_into(ws.seqgen_steps, ws.vec_out)
     psg, prior, g_psg, grad = ws.psg, ws.prior, ws.g_psg, ws.grad
 
@@ -454,16 +427,10 @@ def _backward_into(
     np.subtract(g_p, row_dot, out=g_logits)
     g_logits *= p
 
-    # Head layers in reverse; inputs[k] = max(z, 0) for k > 0, so the ReLU
-    # mask z > 0 is inputs[k] > 0.
-    g_out = g_logits
-    for k in range(len(ws.inputs) - 1, -1, -1):
-        layer_in = ws.inputs[k]
-        np.matmul(g_out.T, layer_in, out=grad.head_w[k])
-        np.sum(g_out, axis=0, out=grad.head_b[k])
-        g_out = np.matmul(g_out, params.head_w[k], out=ws.g_inputs[k])
-        if k:
-            g_out *= np.greater(layer_in, 0.0, out=ws.relu_mask[k - 1])
+    # The linear head, reversed: its weight and bias gradients, then dLoss/dhidden.
+    np.matmul(g_logits.T, ws.hidden, out=grad.head_w)
+    np.sum(g_logits, axis=0, out=grad.head_b)
+    np.matmul(g_logits, params.head_w, out=ws.g_hidden)
 
     # dZ = dc * (dgate/dz * partner) for the i, f, g gates and dh * (...) for
     # the output gate; the factors in brackets depend only on the forward pass.
@@ -517,8 +484,8 @@ def backward(
     the reverse loop, and the weight gradients after it (dZ^T x, dZ^T h_prev,
     sum of dZ). What remains per step is a handful of small numpy calls, each
     writing into a preallocated workspace: inside ``train``, which reuses one
-    workspace, a step takes about 0.3 ms at N=8, C=32, H=16 on a 2-vCPU host,
-    almost all of it numpy call overhead. This call builds a fresh workspace,
+    workspace, a step measured 0.16-0.21 ms at N=8, C=32, H=16 on a 2-vCPU
+    host, almost all of it numpy call overhead. This call builds a fresh workspace,
     so the returned gradients belong to the caller. Raises NonFiniteLoss
     (epoch None) if anything overflows.
     """
@@ -658,23 +625,19 @@ def arrange(
 
 
 def write_checkpoint(params: NetworkParams, netcfg: NetworkConfig) -> bytes:
+    # The header's third field counts the head's linear layers: always 1.
     header = pack_header(
-        CHECKPOINT_MAGIC,
-        "IIII",
-        netcfg.input_dim,
-        netcfg.hidden_size,
-        netcfg.num_linear_layers,
-        netcfg.output_dim,
+        CHECKPOINT_MAGIC, "IIII", netcfg.input_dim, netcfg.hidden_size, 1, netcfg.output_dim
     )
     return header + params.flat.astype("<f8").tobytes()
 
 
 def _checkpoint_layout(c: int, h: int, layers: int, n: int):
     """Network config and tensor shapes a checkpoint header describes."""
+    if layers != 1:
+        raise CodecError(f"checkpoint head has {layers} linear layers; only 1 is read")
     try:
-        netcfg = NetworkConfig(
-            input_dim=c, hidden_size=h, output_dim=n, num_linear_layers=layers
-        )
+        netcfg = NetworkConfig(input_dim=c, hidden_size=h, output_dim=n)
     except InvalidArgument as exc:
         raise CodecError(f"checkpoint header carries invalid dimensions: {exc}") from exc
     return netcfg, _param_shapes(netcfg)

@@ -218,7 +218,7 @@ class TestTrainCommand:
         cfg_path.write_text(
             json.dumps(
                 {
-                    "network": {"hidden_size": 4, "num_linear_layers": 1},
+                    "network": {"hidden_size": 4},
                     "train": {"epochs": epochs, "seed": 5, "learning_rate": 0.001},
                 }
             )
@@ -332,12 +332,35 @@ class TestTrainCommand:
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=8)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"training": {"epochs": 1}}))
-        code, _, err = run(
-            ["train", "--data-dir", str(data), "--config", str(bad), "--out-model", str(tmp_path / "m.pdaw")],
+        # The head is one linear layer: no key sets a layer count.
+        for document, message in [
+            ({"training": {"epochs": 1}}, "unknown config section 'training'"),
+            ({"network": {"num_linear_layers": 1}}, "unknown key 'num_linear_layers' in 'network'"),
+        ]:
+            bad.write_text(json.dumps(document))
+            code, _, err = run(
+                ["train", "--data-dir", str(data), "--config", str(bad),
+                 "--out-model", str(tmp_path / "m.pdaw")],
+                capsys,
+            )
+            assert (code, err) == (1, f"error: InvalidArgument: {message}\n")
+
+    @pytest.mark.parametrize("digits", [4300, 5001], ids=["4300-digits", "5001-digits"])
+    def test_an_integer_of_any_length_is_refused_as_configuration(self, tmp_path, capsys, digits):
+        # 4,300 digits is the most int() reads from a string by default; json
+        # reads a longer integer through the run config's own hook.
+        data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=4)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text('{"train": {"learning_rate": 1' + "0" * (digits - 1) + "}}")
+        model = tmp_path / "model.pdaw"
+        code, stdout, err = run(
+            ["train", "--data-dir", str(data), "--config", str(cfg_path), "--out-model", str(model)],
             capsys,
         )
-        assert code == 1
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: InvalidArgument: train.learning_rate is an integer ")
+        assert err.count("\n") == 1 and len(err) <= 200
+        assert not model.exists()
 
 
 class TestConfigErrors:
@@ -694,6 +717,24 @@ def test_gen_refuses_a_401_digit_integer_in_one_short_line(tmp_path, capsys, fla
     assert (code, out) == (1, "")
     assert err.startswith("error: InvalidArgument: ") and err.count("\n") == 1
     assert "<1329-bit integer>" in err and len(err) <= 200
+    assert not (tmp_path / "big").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--wordlines", "1" + "0" * 5000],
+         "nandarrange gen: error: argument --wordlines: invalid int value: <5001-character value>"),
+        (["x" * 5000], "nandarrange: error: unrecognized arguments: <5000-character value>"),
+    ],
+    ids=["invalid-int", "unrecognized"],
+)
+def test_a_long_value_in_a_usage_error_is_shown_by_its_length(tmp_path, capsys, extra, message):
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--out", str(tmp_path / "big"), "--blocks", "1", *extra])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (1, "")
+    assert err.endswith(f"{message}\n") and len(err) < 300
     assert not (tmp_path / "big").exists()
 
 

@@ -549,11 +549,6 @@ REFUSAL_SITES = {
     "NetworkConfig.hidden_size": (
         lambda v: NetworkConfig(input_dim=1, hidden_size=v, output_dim=3), InvalidArgument, (-HUGE,)
     ),
-    "NetworkConfig.num_linear_layers": (
-        lambda v: NetworkConfig(input_dim=1, hidden_size=1, output_dim=3, num_linear_layers=v),
-        InvalidArgument,
-        (HUGE, -HUGE, LONG),
-    ),
     "AnnealSchedule.cooling_factor": (
         lambda v: AnnealSchedule(cooling_factor=v), InvalidArgument, (HUGE, -HUGE, LONG)
     ),
