@@ -27,6 +27,13 @@ Training runs in one workspace per run (``_Workspace``): every array a
 forward-and-backward step writes, the gradient vector and the per-step row
 views are allocated once, and each step and its in-place Adam update write
 into them. ``backward`` runs the same code on a fresh workspace per call.
+A step is the forward pass (``_lstm_into``, ``_head_into``, ``_seqgen_into``)
+and then four backward stages, each reading what the one before it wrote:
+``_contract_into`` (the score contraction: -S_m and dLoss/dP^sg),
+``_seqgen_back_into`` (the non-repetition transform: dLoss/dp),
+``_head_back_into`` (the softmax and linear head: the head's gradients and
+dLoss/dhidden) and ``_lstm_back_into`` (the LSTM's gradients). No
+``_..._into`` function builds an array.
 Inference allocates only what it writes: ``lstm_forward`` a fresh
 ``_Forward`` (the workspace's LSTM arrays), ``head_forward`` its probability
 matrix.
@@ -54,6 +61,8 @@ from .errors import (
 CHECKPOINT_MAGIC = b"PDAW"
 
 LEVEL_SCALE = 15.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
@@ -70,6 +79,15 @@ class NetworkConfig:
             raise InvalidArgument("input_dim and output_dim must be positive")
         if self.hidden_size < 1:
             raise InvalidArgument(f"hidden_size must be >= 1, got {brief(self.hidden_size)}")
+        # Checked before anything is allocated: numpy refuses a larger array
+        # with a ValueError of its own.
+        nbytes = 8 * sum(math.prod(shape) for shape in _param_shapes(self))
+        if nbytes > np.iinfo(np.intp).max:
+            raise InvalidArgument(
+                f"a network with input_dim={brief(self.input_dim)}, hidden_size="
+                f"{brief(self.hidden_size)} and output_dim={brief(self.output_dim)} needs "
+                f"{brief(nbytes)} bytes of parameters, more than numpy can index"
+            )
 
 
 @dataclass(frozen=True)
@@ -77,8 +95,6 @@ class TrainConfig:
     epochs: int = 300
     learning_rate: float = 1e-3
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
     gradient_clip_norm: float | None = 5.0
 
     def __post_init__(self):
@@ -87,10 +103,6 @@ class TrainConfig:
         check_seed(self.seed)
         if not 0 < self.learning_rate <= sys.float_info.max:
             raise InvalidArgument("learning_rate must be finite and positive")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise InvalidArgument(f"{name} must lie in (0,1), got {brief(value)}")
         clip = self.gradient_clip_norm
         if clip is not None and not 0 < clip <= sys.float_info.max:
             raise InvalidArgument("gradient_clip_norm must be finite and positive, or None")
@@ -381,21 +393,14 @@ def _score_rows(
     return s.reshape(n, n * n)
 
 
-def _backward_into(
-    ws: _Workspace, x: np.ndarray, params: NetworkParams, s_flat: np.ndarray
-) -> float:
-    """Loss -S_m for one block; the gradient of every parameter goes to ws.grad.
+def _contract_into(ws: _Workspace, s_flat: np.ndarray) -> float:
+    """The score contraction: return -S_m of ws.psg under ``s_flat`` and write
+    dLoss/dP^sg to ws.g_psg.
 
-    ``x`` is the block's scaled levels and ``s_flat`` its score tensor as
-    (N, N*N) rows, both checked against ws's network. See ``backward``.
+    S_m = sum_t sum_abc u_t[a] v_t[b] w_t[c] s[a,b,c] with (u, v, w) the rows
+    (t, t+1, t+2); the gradient of each role leaves that role out.
     """
-    _lstm_into(ws, x, params)
-    p = _head_into(ws.p, ws.hidden, params)
-    _seqgen_into(ws.seqgen_steps, ws.vec_out)
-    psg, prior, g_psg, grad = ws.psg, ws.prior, ws.g_psg, ws.grad
-
-    # S_m = sum_t sum_abc u_t[a] v_t[b] w_t[c] s[a,b,c] with (u, v, w) the
-    # rows (t, t+1, t+2); the gradient of each role leaves that role out.
+    psg, g_psg = ws.psg, ws.g_psg
     n = psg.shape[0]
     u, v, w = psg[:-2], psg[1:-1], psg[2:]
     u_s = np.matmul(u, s_flat, out=ws.u_s).reshape(n - 2, n, n)
@@ -408,10 +413,17 @@ def _backward_into(
     g_psg[2:] -= g_last
     g_psg[1:-1] -= g_mid
     g_psg[:-2] -= g_first
+    return loss
 
-    # Non-repetition recursion, reversed: psg[i] = p[i] * prior[i] and
-    # prior[i+1] = prior[i] - p[i] * prior[i]**2, so g_prior[i] (dLoss/dprior[i],
-    # zero past the last row) obeys a two-term recurrence.
+
+def _seqgen_back_into(ws: _Workspace) -> None:
+    """The non-repetition transform, reversed: dLoss/dp from ws.g_psg into ws.g_p.
+
+    psg[i] = p[i] * prior[i] and prior[i+1] = prior[i] - p[i] * prior[i]**2, so
+    g_prior[i] (dLoss/dprior[i], zero past the last row) obeys a two-term
+    recurrence.
+    """
+    p, psg, prior, g_psg = ws.p, ws.psg, ws.prior, ws.g_psg
     np.multiply(p, g_psg, out=ws.direct)
     np.multiply(2.0, psg, out=ws.decay)
     np.subtract(1.0, ws.decay, out=ws.decay)
@@ -422,18 +434,29 @@ def _backward_into(
     np.subtract(g_psg, g_p, out=g_p)
     g_p *= prior
 
+
+def _head_back_into(ws: _Workspace, params: NetworkParams) -> None:
+    """The softmax and the linear head, reversed: from ws.g_p, the head's weight
+    and bias gradients into ws.grad, then dLoss/dhidden into ws.g_hidden."""
+    p, g_p, grad = ws.p, ws.g_p, ws.grad
     g_logits = np.multiply(g_p, p, out=ws.g_logits)
     row_dot = np.sum(g_logits, axis=1, keepdims=True, out=ws.row)
     np.subtract(g_p, row_dot, out=g_logits)
     g_logits *= p
-
-    # The linear head, reversed: its weight and bias gradients, then dLoss/dhidden.
     np.matmul(g_logits.T, ws.hidden, out=grad.head_w)
     np.sum(g_logits, axis=0, out=grad.head_b)
     np.matmul(g_logits, params.head_w, out=ws.g_hidden)
 
-    # dZ = dc * (dgate/dz * partner) for the i, f, g gates and dh * (...) for
-    # the output gate; the factors in brackets depend only on the forward pass.
+
+def _lstm_back_into(ws: _Workspace, x: np.ndarray, params: NetworkParams) -> None:
+    """The LSTM, reversed over its steps: from ws.g_hidden, the gradients of
+    w_input, w_hidden and bias into ws.grad. ``x`` is the input the forward
+    pass in ws ran on.
+
+    dZ = dc * (dgate/dz * partner) for the i, f, g gates and dh * (...) for
+    the output gate; the factors in brackets depend only on the forward pass.
+    """
+    grad = ws.grad
     gi, gf, gg, go, tanh_c, tmp = ws.gi, ws.gf, ws.gg, ws.go, ws.tanh_c, ws.tmp_nh
     f_i, f_f, f_g, f_o = (ws.factors[:, k] for k in range(4))
     np.multiply(gg, gi, out=f_i)
@@ -460,7 +483,23 @@ def _backward_into(
     np.matmul(ws.dz.T, ws.hs[:-1], out=grad.w_hidden)
     np.sum(ws.dz, axis=0, out=grad.bias)
 
-    if not np.isfinite(loss) or not np.isfinite(grad.flat).all():
+
+def _backward_into(
+    ws: _Workspace, x: np.ndarray, params: NetworkParams, s_flat: np.ndarray
+) -> float:
+    """Loss -S_m for one block; the gradient of every parameter goes to ws.grad.
+
+    ``x`` is the block's scaled levels and ``s_flat`` its score tensor as
+    (N, N*N) rows, both checked against ws's network. See ``backward``.
+    """
+    _lstm_into(ws, x, params)
+    _head_into(ws.p, ws.hidden, params)
+    _seqgen_into(ws.seqgen_steps, ws.vec_out)
+    loss = _contract_into(ws, s_flat)
+    _seqgen_back_into(ws)
+    _head_back_into(ws, params)
+    _lstm_back_into(ws, x, params)
+    if not np.isfinite(loss) or not np.isfinite(ws.grad.flat).all():
         raise NonFiniteLoss(
             "non-finite loss or gradient; clip gradients or reduce the learning rate"
         )
@@ -475,19 +514,21 @@ def backward(
 ) -> tuple[float, NetworkParams]:
     """Loss -S_m for one block and its exact gradients w.r.t. every parameter.
 
-    Reverse-mode through the score contraction, the combination triples, the
-    non-repetition recursion, the softmax head and the unrolled LSTM steps.
-    The three roles a row of P^sg plays in the N-2 consecutive triples are
-    contracted for all triples at once with plain matmuls over the score
-    tensor reshaped to (N, N*N); the LSTM input projection runs for all steps
-    before the recurrence, the gate-derivative factors for all steps before
-    the reverse loop, and the weight gradients after it (dZ^T x, dZ^T h_prev,
-    sum of dZ). What remains per step is a handful of small numpy calls, each
-    writing into a preallocated workspace: inside ``train``, which reuses one
-    workspace, a step measured 0.16-0.21 ms at N=8, C=32, H=16 on a 2-vCPU
-    host, almost all of it numpy call overhead. This call builds a fresh workspace,
-    so the returned gradients belong to the caller. Raises NonFiniteLoss
-    (epoch None) if anything overflows.
+    Reverse-mode in four stages: the score contraction over the combination
+    triples (``_contract_into``), the non-repetition recursion
+    (``_seqgen_back_into``), the softmax and linear head (``_head_back_into``)
+    and the unrolled LSTM steps (``_lstm_back_into``). The three roles a row
+    of P^sg plays in the N-2 consecutive triples are contracted for all
+    triples at once with plain matmuls over the score tensor reshaped to
+    (N, N*N); the LSTM input projection runs for all steps before the
+    recurrence, the gate-derivative factors for all steps before the reverse
+    loop, and the weight gradients after it (dZ^T x, dZ^T h_prev, sum of dZ).
+    What remains per step is a handful of small numpy calls, each writing
+    into a preallocated workspace: inside ``train``, which reuses one
+    workspace, a step measured 0.17-0.20 ms at N=8, C=32, H=16 on a 2-vCPU
+    host in its faster runs, almost all of it numpy call overhead. This call
+    builds a fresh workspace, so the returned gradients belong to the caller.
+    Raises NonFiniteLoss (epoch None) if anything overflows.
     """
     s_flat = _score_rows(pattern, netcfg, score_tensor)
     x = _scaled_levels(pattern, netcfg)
@@ -535,7 +576,6 @@ def train(
     moment2 = np.zeros_like(flat)
     update = np.empty_like(flat)
     denom = np.empty_like(flat)
-    beta1, beta2 = traincfg.beta1, traincfg.beta2
     clip = traincfg.gradient_clip_norm
     step = 0
     history: list[float] = []
@@ -558,12 +598,12 @@ def train(
                             g *= clip / norm
                             np.multiply(g, g, out=square)
                     step += 1
-                    bias1 = 1.0 - beta1**step
-                    bias2 = 1.0 - beta2**step
-                    moment1 *= beta1
-                    moment1 += np.multiply(1.0 - beta1, g, out=update)
-                    moment2 *= beta2
-                    moment2 += np.multiply(1.0 - beta2, square, out=update)
+                    bias1 = 1.0 - ADAM_BETA1**step
+                    bias2 = 1.0 - ADAM_BETA2**step
+                    moment1 *= ADAM_BETA1
+                    moment1 += np.multiply(1.0 - ADAM_BETA1, g, out=update)
+                    moment2 *= ADAM_BETA2
+                    moment2 += np.multiply(1.0 - ADAM_BETA2, square, out=update)
                     np.divide(moment1, bias1, out=update)
                     update *= traincfg.learning_rate
                     np.divide(moment2, bias2, out=denom)

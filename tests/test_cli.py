@@ -329,6 +329,22 @@ class TestTrainCommand:
         )
         assert not model.exists()
 
+    def test_an_unallocatable_network_width_is_refused_in_one_short_line(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=4)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"network": {"hidden_size": 10**30}, "train": {"epochs": 1}}))
+        model = tmp_path / "model.pdaw"
+        code, stdout, err = run(
+            ["train", "--data-dir", str(data), "--config", str(cfg_path), "--out-model", str(model)],
+            capsys,
+        )
+        assert (code, stdout) == (1, "")
+        assert err == (
+            "error: InvalidArgument: a network with input_dim=4, hidden_size=<100-bit integer> "
+            "and output_dim=4 needs <205-bit integer> bytes of parameters, more than numpy can index\n"
+        )
+        assert not model.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=4, cells=8)
         bad = tmp_path / "bad.json"
@@ -336,6 +352,7 @@ class TestTrainCommand:
         for document, message in [
             ({"training": {"epochs": 1}}, "unknown config section 'training'"),
             ({"network": {"num_linear_layers": 1}}, "unknown key 'num_linear_layers' in 'network'"),
+            ({"train": {"beta1": 0.9}}, "unknown key 'beta1' in 'train'"),
         ]:
             bad.write_text(json.dumps(document))
             code, _, err = run(

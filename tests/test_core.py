@@ -545,9 +545,10 @@ REFUSAL_SITES = {
         lambda v: RetentionConfig(coupling=v), InvalidArgument, (HUGE, -HUGE, LONG)
     ),
     "TrainConfig.epochs": (lambda v: TrainConfig(epochs=v), InvalidArgument, (-HUGE,)),
-    "TrainConfig.beta1": (lambda v: TrainConfig(beta1=v), InvalidArgument, (HUGE, -HUGE, LONG)),
     "NetworkConfig.hidden_size": (
-        lambda v: NetworkConfig(input_dim=1, hidden_size=v, output_dim=3), InvalidArgument, (-HUGE,)
+        lambda v: NetworkConfig(input_dim=1, hidden_size=v, output_dim=3),
+        InvalidArgument,
+        (HUGE, -HUGE, LONG),
     ),
     "AnnealSchedule.cooling_factor": (
         lambda v: AnnealSchedule(cooling_factor=v), InvalidArgument, (HUGE, -HUGE, LONG)

@@ -1,6 +1,7 @@
 """Each module of the package uses only the public names of its siblings,
-neural imports nothing from the scorer, only core makes or changes a
-BlockPattern past its constructor, and no module holds a writable array."""
+neural imports nothing from the scorer, a training step in neural builds no
+array, only core makes or changes a BlockPattern past its constructor, and no
+module holds a writable array."""
 
 import ast
 import importlib
@@ -98,6 +99,66 @@ def test_the_import_guard_sees_every_form(tmp_path):
         probe = tmp_path / "probe.py"
         probe.write_text(f"{form}\nfrom .core import BlockPattern\nimport numpy\n")
         assert _sibling_imports(probe) == {"scoring", "core"}, form
+
+
+ARRAY_CONSTRUCTORS = {"empty", "zeros", "ones", "full", "array", "copy", "concatenate", "stack"}
+
+
+def _workspace_allocations(path):
+    """(function, line, call) of every array constructor that a ``_..._into``
+    function of the module at ``path`` calls, and the names of those functions."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    stages = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_") and node.name.endswith("_into")
+    ]
+    found = []
+    for stage in stages:
+        for node in ast.walk(stage):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ARRAY_CONSTRUCTORS or name.endswith("_like"):
+                found.append((stage.name, node.lineno, ast.unparse(node)))
+    return sorted(found), {stage.name for stage in stages}
+
+
+def test_no_training_stage_builds_an_array():
+    # A training step writes only into the workspace train allocates once per
+    # run, so a new stage or head inherits that rule here.
+    found, stages = _workspace_allocations(PACKAGE / "neural.py")
+    assert found == []
+    assert {
+        "_backward_into", "_contract_into", "_seqgen_back_into", "_head_back_into",
+        "_lstm_back_into",
+    } <= stages
+
+
+def test_the_workspace_guard_sees_every_constructor(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "from numpy import zeros\n"
+        "def _stage_into(ws, x):\n"
+        "    np.multiply(x, 2.0, out=ws.a)\n"
+        "    a = np.empty(3)\n"
+        "    b = zeros(3)\n"
+        "    c = np.full_like(x, 1.0)\n"
+        "    d = x.copy()\n"
+        "    e = np.concatenate([x, x])\n"
+        "    f = np.stack([x, x])\n"
+        "    g = np.array(x)\n"
+        "    h = np.ones(2)\n"
+        "def _helper(x):\n"
+        "    return np.empty(3)\n"
+        "def _into_nothing(x):\n"
+        "    return np.zeros(3)\n"
+    )
+    found, stages = _workspace_allocations(probe)
+    assert stages == {"_stage_into"}
+    assert [line for _, line, _ in found] == list(range(5, 13))
 
 
 def test_every_tracer_target_names_a_package_callable():

@@ -42,12 +42,15 @@ from nandarrange.errors import (
 )
 from nandarrange import neural
 from nandarrange.neural import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPSILON,
     LEVEL_SCALE,
     NetworkParams,
     _param_shapes,
     _softmax_rows,
 )
+from nandarrange.data_io import pack_header
 from nandarrange.scoring import tensor_build_count
 
 CFG4 = ArchConfig(num_wordlines=4, cells_per_page=8)
@@ -195,13 +198,13 @@ def _reference_adam_step(tensors, moment1, moment2, glist, step, traincfg):
             scale = traincfg.gradient_clip_norm / norm
             for g in glist:
                 g *= scale
-    bias1 = 1.0 - traincfg.beta1**step
-    bias2 = 1.0 - traincfg.beta2**step
+    bias1 = 1.0 - ADAM_BETA1**step
+    bias2 = 1.0 - ADAM_BETA2**step
     for tensor, m1, m2, g in zip(tensors, moment1, moment2, glist):
-        m1 *= traincfg.beta1
-        m1 += (1.0 - traincfg.beta1) * g
-        m2 *= traincfg.beta2
-        m2 += (1.0 - traincfg.beta2) * (g * g)
+        m1 *= ADAM_BETA1
+        m1 += (1.0 - ADAM_BETA1) * g
+        m2 *= ADAM_BETA2
+        m2 += (1.0 - ADAM_BETA2) * (g * g)
         tensor -= traincfg.learning_rate * (m1 / bias1) / (np.sqrt(m2 / bias2) + ADAM_EPSILON)
 
 
@@ -230,10 +233,49 @@ def assert_close_to_max(actual, expected, tol):
     assert np.abs(actual - expected).max() <= tol * np.abs(expected).max()
 
 
+def central_differences(f, values, step=1e-6):
+    """df/dvalues entry by entry; ``values`` is moved in place and restored."""
+    flat = values.reshape(-1)
+    assert np.shares_memory(flat, values)
+    grad = np.empty(flat.size)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + step
+        up = f()
+        flat[k] = orig - step
+        down = f()
+        flat[k] = orig
+        grad[k] = (up - down) / (2 * step)
+    return grad.reshape(values.shape)
+
+
 class TestNetworkConfig:
     def test_rejects_zero_hidden(self):
         with pytest.raises(InvalidArgument):
             NetworkConfig(input_dim=4, hidden_size=0, output_dim=4)
+
+    def test_refuses_parameters_numpy_cannot_index(self, peak_bytes):
+        # The flat vector holds 4H(C+H+1) + N(H+1) float64 values.
+        def nbytes(c, h, n):
+            return 8 * (4 * h * (c + h + 1) + n * (h + 1))
+
+        limit = np.iinfo(np.intp).max
+        widest = 2**29 - 2
+        assert nbytes(1, widest, 1) <= limit < nbytes(1, widest + 1, 1)
+        NetworkConfig(input_dim=1, hidden_size=widest, output_dim=1)
+        for c, h, n in [(1, widest + 1, 1), (2**32 - 1, 2**32 - 1, 2**32 - 1), (4, 10**30, 4)]:
+            with pytest.raises(InvalidArgument, match="bytes of parameters, more than numpy can index$"):
+                NetworkConfig(input_dim=c, hidden_size=h, output_dim=n)
+
+        def refuse():
+            with pytest.raises(InvalidArgument) as info:
+                NetworkConfig(input_dim=4, hidden_size=10**30, output_dim=4)
+            assert str(info.value) == (
+                "a network with input_dim=4, hidden_size=<100-bit integer> and output_dim=4 "
+                "needs <205-bit integer> bytes of parameters, more than numpy can index"
+            )
+
+        assert peak_bytes(refuse) < 64 * 2**10
 
 
 class TestLstmForward:
@@ -501,6 +543,72 @@ class TestBackward:
             backward(pattern, params, netcfg, tensor)
 
 
+class TestBackwardStages:
+    """Each backward stage alone, against central differences of the forward
+    function it reverses, with a random upstream gradient."""
+
+    @given(n=st.integers(3, 9), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_contraction_matches_finite_differences(self, n, seed):
+        rng = np.random.default_rng(seed)
+        ws = neural._Workspace(NetworkConfig(input_dim=1, hidden_size=1, output_dim=n))
+        psg = rng.uniform(0.0, 1.0, size=(n, n))
+        tensor = rng.normal(size=(n, n, n))  # no symmetry between the three roles
+        ws.psg[...] = psg
+        loss = neural._contract_into(ws, tensor.reshape(n, n * n))
+
+        def score():
+            return expected_score(combination_probability(psg), tensor)
+
+        assert relative_error(loss, -score()) <= 1e-12
+        assert_close_to_max(ws.g_psg, -central_differences(score, psg), 1e-7)
+
+    @given(n=st.integers(3, 9), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_non_repetition_reversal_matches_finite_differences(self, n, seed):
+        rng = np.random.default_rng(seed)
+        ws = neural._Workspace(NetworkConfig(input_dim=1, hidden_size=1, output_dim=n))
+        p = rng.dirichlet(np.ones(n), size=n)
+        g_psg = rng.normal(size=(n, n))
+        ws.p[...] = p
+        neural._seqgen_into(ws.seqgen_steps, ws.vec_out)
+        ws.g_psg[...] = g_psg
+        neural._seqgen_back_into(ws)
+        expected = central_differences(lambda: float((g_psg * seqgen_transform(p)).sum()), p)
+        assert_close_to_max(ws.g_p, expected, 1e-7)
+
+    @given(
+        n=st.integers(3, 9),
+        c=st.integers(1, 12),
+        h=st.integers(1, 6),
+        scale=st.sampled_from([0.5, 1.0, 2.0]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_lstm_reversal_matches_finite_differences(self, n, c, h, scale, seed):
+        # A pointer head or a reversed pass would feed this stage its own g_hidden.
+        rng = np.random.default_rng(seed)
+        netcfg = NetworkConfig(input_dim=c, hidden_size=h, output_dim=n)
+        params = init_params(netcfg, rng)
+        params.flat[:] = rng.uniform(-scale, scale, size=params.flat.size)
+        pattern = BlockPattern(rng.integers(0, 16, size=(n, c), dtype=np.uint8))
+        g_hidden = rng.normal(size=(n, h))
+        ws = neural._Workspace(netcfg)
+        x = neural._scaled_levels(pattern, netcfg)
+        neural._lstm_into(ws, x, params)
+        ws.g_hidden[...] = g_hidden
+        neural._lstm_back_into(ws, x, params)
+
+        def loss():
+            return float((g_hidden * lstm_forward(pattern, params, netcfg)).sum())
+
+        got = [ws.grad.w_input, ws.grad.w_hidden, ws.grad.bias]
+        expected = [central_differences(loss, t) for t in (params.w_input, params.w_hidden, params.bias)]
+        bound = 1e-6 * max(np.abs(e).max() for e in expected)
+        for g, e in zip(got, expected):
+            assert np.abs(g - e).max() <= bound
+
+
 class TestTrain:
     def test_epochs_zero_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -515,8 +623,6 @@ class TestTrain:
         [
             ("learning_rate", 0.0, r"^learning_rate must be finite and positive$"),
             ("learning_rate", float("inf"), r"^learning_rate must be finite and positive$"),
-            ("beta1", 1.0, r"^beta1 must lie in \(0,1\), got 1.0$"),
-            ("beta2", 0.0, r"^beta2 must lie in \(0,1\), got 0.0$"),
             ("gradient_clip_norm", -1.0,
              r"^gradient_clip_norm must be finite and positive, or None$"),
             ("gradient_clip_norm", float("inf"),
@@ -901,6 +1007,12 @@ class TestCheckpoint:
         params.flat[9] = np.nan
         with pytest.raises(CodecError, match="checkpoint parameter 7 is not finite"):
             read_checkpoint(write_checkpoint(params, netcfg))
+
+    def test_dimensions_past_numpy_indexing_are_a_codec_error(self):
+        header = pack_header(b"PDAW", "IIII", 2**32 - 1, 2**32 - 1, 1, 2**32 - 1)
+        with pytest.raises(CodecError, match="^checkpoint header carries invalid dimensions: "
+                           ".* more than numpy can index$"):
+            read_checkpoint(header)
 
     def test_magic_is_pdaw(self):
         netcfg = NetworkConfig(input_dim=2, hidden_size=2, output_dim=3)
