@@ -220,22 +220,28 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _lstm(pattern: BlockPattern, cfg: ArchConfig, schedule, model):
+def _lstm(pattern: BlockPattern, cfg: ArchConfig, tensor, schedule, model):
     if model is None:
         raise InvalidArgument("--solver lstm requires --model")
     return solvers.lstm_arrange(pattern, cfg, model)
 
 
-# name -> solver(pattern, cfg, schedule, model): the names arrange --solver and
-# compare --solvers accept. The flags of every run form one checked AnnealSchedule.
+# name -> solver(pattern, cfg, tensor, schedule, model): the names arrange
+# --solver and compare --solvers accept. Every solver but lstm searches the
+# block's score tensor, which its caller builds; lstm gets None. The flags of
+# every run form one checked AnnealSchedule.
 SOLVERS = {
-    "exhaustive": lambda pattern, cfg, schedule, model: solvers.exhaustive_best(pattern, cfg),
-    "random": lambda pattern, cfg, schedule, model: solvers.random_search(
-        pattern, cfg, schedule.iterations, schedule.seed
+    "exhaustive": lambda pattern, cfg, tensor, schedule, model: solvers.exhaustive_best(
+        pattern, cfg, tensor
     ),
-    "greedy": lambda pattern, cfg, schedule, model: solvers.greedy_arrange(pattern, cfg),
-    "sa": lambda pattern, cfg, schedule, model: solvers.simulated_annealing(
-        pattern, cfg, schedule
+    "random": lambda pattern, cfg, tensor, schedule, model: solvers.random_search(
+        pattern, cfg, tensor, schedule.iterations, schedule.seed
+    ),
+    "greedy": lambda pattern, cfg, tensor, schedule, model: solvers.greedy_arrange(
+        pattern, cfg, tensor
+    ),
+    "sa": lambda pattern, cfg, tensor, schedule, model: solvers.simulated_annealing(
+        pattern, cfg, tensor, schedule
     ),
     "lstm": _lstm,
 }
@@ -255,7 +261,8 @@ def cmd_arrange(args) -> int:
     model = _load_model(args.model)
     schedule = solvers.AnnealSchedule(args.t0, args.cooling, args.iterations, args.seed)
     original = scoring.block_score(pattern, cfg)
-    result = SOLVERS[args.solver](pattern, cfg, schedule, model)
+    tensor = None if args.solver == "lstm" else scoring.build_score_tensor(pattern, cfg)
+    result = SOLVERS[args.solver](pattern, cfg, tensor, schedule, model)
     if args.out_map:
         data_io.save_mapping_table(args.out_map, result.perm)
     uplift = 100.0 * (result.score - original) / original
@@ -333,18 +340,32 @@ def cmd_compare(args) -> int:
 
     text = [f"{'solver':<12}{'mean_score':>16}{'min_score':>16}{'max_score':>16}{'uplift%':>10}{'time_s':>10}"]
     rows = ["solver,mean_score,min_score,max_score,mean_uplift_pct,wall_time_s"]
-    failed = False
-    for name in requested:
-        scores, uplifts = [], []
-        elapsed = 0.0
-        try:
-            for index, (block, identity) in enumerate(zip(blocks, identity_scores)):
-                result = SOLVERS[name](block, cfg, replace(schedule, seed=args.seed + index), model)
-                scores.append(result.score)
-                uplifts.append(100.0 * (result.score - identity) / identity)
-                elapsed += result.elapsed
-        except ArrangeError as exc:
-            failed = True
+    # Blocks outermost, so that one tensor per block serves every classical
+    # solver. A solver that raises keeps its first error and runs no further.
+    block_scores = [[] for _ in requested]
+    block_uplifts = [[] for _ in requested]
+    times = [0.0] * len(requested)
+    errors = [None] * len(requested)
+    for index, (block, identity) in enumerate(zip(blocks, identity_scores)):
+        block_schedule = replace(schedule, seed=args.seed + index)
+        tensor = None
+        for k, name in enumerate(requested):
+            if errors[k]:
+                continue
+            try:
+                if tensor is None and name != "lstm":
+                    tensor = scoring.build_score_tensor(block, cfg)
+                result = SOLVERS[name](block, cfg, tensor, block_schedule, model)
+            except ArrangeError as exc:
+                errors[k] = exc
+                continue
+            block_scores[k].append(result.score)
+            block_uplifts[k].append(100.0 * (result.score - identity) / identity)
+            times[k] += result.elapsed
+    for name, exc, scores, uplifts, elapsed in zip(
+        requested, errors, block_scores, block_uplifts, times
+    ):
+        if exc:
             text.append(f"{name:<12}  error: {type(exc).__name__}: {exc}")
             rows.append(f"{name},error,error,error,error,error")
             continue
@@ -357,7 +378,7 @@ def cmd_compare(args) -> int:
     print("\n".join(text))
     if args.csv:
         Path(args.csv).write_text("\n".join(rows) + "\n")
-    return EXIT_USAGE if failed else EXIT_OK
+    return EXIT_USAGE if any(errors) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

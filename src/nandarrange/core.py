@@ -33,6 +33,10 @@ ERASED = 0
 # bytes per item. Read at call time, so one setting reaches every pass.
 CHUNK_BYTES = 2**20
 
+# Largest score tensor a build may allocate: its float64 tensor and float32
+# products take 12 N^3 bytes, so 2 GiB admits N <= 563.
+TENSOR_BYTES = 2**31
+
 
 def chunk_size(item_bytes: int) -> int:
     """Items of ``item_bytes`` bytes that fit in CHUNK_BYTES, and at least one."""

@@ -26,7 +26,9 @@ class TooFewWordlines(ArrangeError):
 
 
 class TooManyWordlines(ArrangeError):
-    """Exhaustive enumeration refused; the factorial search space is too large."""
+    """A block has more wordlines than an operation admits: exhaustive
+    enumeration's factorial search space, or a score tensor past the
+    core.TENSOR_BYTES budget."""
 
 
 class TooFewBlocks(ArrangeError):

@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     ERASED,
     LEVELS,
+    TENSOR_BYTES,
     ArchConfig,
     BlockPattern,
     brief,
@@ -29,7 +30,7 @@ from .core import (
     second_thread,
     validate_pattern,
 )
-from .errors import LevelOutOfRange
+from .errors import LevelOutOfRange, TooManyWordlines
 
 _tensor_builds = 0
 
@@ -229,11 +230,18 @@ def build_score_tensor(pattern: BlockPattern, cfg: ArchConfig) -> np.ndarray:
     Memory is O(N^2 k + N^3) whatever C: the float32 block (both halves
     together) stays within core.CHUNK_BYTES (or one column), the matmul
     output is N^3 float32, and the float64 tensor doubles as the
-    accumulator. A pattern not of cfg's shape raises DimensionMismatch.
+    accumulator. A pattern not of cfg's shape raises DimensionMismatch, and
+    one whose 12 N^3 bytes of N^3 arrays pass core.TENSOR_BYTES raises
+    TooManyWordlines before anything is allocated.
     """
     global _tensor_builds
     validate_pattern(pattern, cfg)
     n, c = pattern.cells.shape
+    if 12 * n**3 > TENSOR_BYTES:
+        raise TooManyWordlines(
+            f"a score tensor at N={n} needs {12 * n**3} bytes, past the "
+            f"{TENSOR_BYTES}-byte budget"
+        )
     width = min(_block_width(n), c)
     products = np.empty((n, n, n), dtype=np.float32)
     block_sums = np.empty((n, n), dtype=np.float32)

@@ -1,8 +1,11 @@
 """Arrangement solvers: exhaustive, random search, greedy, annealing, and the
 trained network's arrangement (lstm_arrange).
 
-The classical solvers maximize the block score. Internally they work on the
-triple-score tensor, which makes one candidate evaluation an O(N) sum. Every
+The classical solvers maximize the block score. They search the block's
+triple-score tensor, which makes one candidate evaluation an O(N) sum. The
+caller builds it (scoring.build_score_tensor) and passes it after the
+config, so one tensor serves every solver run on a block; this module builds
+none, and each solver checks the tensor's shape once (_check_tensor). Every
 solver, the network included, leaves through _finish, which recomputes the
 reported score from the returned permutation with block_score, so results
 can never carry a stale cached value. Every solver is a deterministic
@@ -39,10 +42,11 @@ import numpy as np
 
 from . import neural
 from .core import (
-    ArchConfig, BlockPattern, Permutation, apply_permutation, brief, check_seed, chunks
+    ArchConfig, BlockPattern, Permutation, apply_permutation, brief, check_seed, chunks,
+    validate_pattern,
 )
-from .errors import InvalidArgument, TooManyWordlines
-from .scoring import block_score, build_score_tensor
+from .errors import DimensionMismatch, InvalidArgument, TooManyWordlines
+from .scoring import block_score
 
 EXHAUSTIVE_LIMIT = 9
 
@@ -116,6 +120,15 @@ def _first_best(scored) -> tuple[list[int], float]:
     return best_order, best
 
 
+def _check_tensor(pattern: BlockPattern, cfg: ArchConfig, tensor: np.ndarray) -> None:
+    """Raise DimensionMismatch unless ``pattern`` has cfg's shape and ``tensor``
+    is the N x N x N shape of its score tensor."""
+    validate_pattern(pattern, cfg)
+    n = pattern.num_wordlines
+    if tensor.shape != (n, n, n):
+        raise DimensionMismatch(f"score tensor has shape {tensor.shape}, N={n} wants {(n, n, n)}")
+
+
 def _finish(pattern, cfg, order, evaluations, started) -> SolverResult:
     perm = Permutation(tuple(order))
     score = block_score(apply_permutation(pattern, perm), cfg)
@@ -138,18 +151,18 @@ def _permutations(n: int) -> np.ndarray:
     return perms
 
 
-def exhaustive_best(pattern: BlockPattern, cfg: ArchConfig) -> SolverResult:
+def exhaustive_best(pattern: BlockPattern, cfg: ArchConfig, tensor: np.ndarray) -> SolverResult:
     """Score all N! arrangements; ties go to the lexicographically smallest map.
 
     One pass per triple position over each chunk of an N! x N uint8
     permutation table (3.3 MB at N=9)."""
+    _check_tensor(pattern, cfg, tensor)
     started = time.perf_counter()
     n = pattern.num_wordlines
     if n > EXHAUSTIVE_LIMIT:
         raise TooManyWordlines(
             f"exhaustive search refuses N={n} (limit {EXHAUSTIVE_LIMIT}; use sa instead)"
         )
-    tensor = build_score_tensor(pattern, cfg)
     perms = _permutations(n)
     best_order, _ = _first_best(
         (perms[part], _row_totals(tensor, perms[part])) for part in chunks(len(perms), 16 * n)
@@ -158,7 +171,7 @@ def exhaustive_best(pattern: BlockPattern, cfg: ArchConfig) -> SolverResult:
 
 
 def random_search(
-    pattern: BlockPattern, cfg: ArchConfig, iterations: int, seed: int
+    pattern: BlockPattern, cfg: ArchConfig, tensor: np.ndarray, iterations: int, seed: int
 ) -> SolverResult:
     """Best of `iterations` uniform permutations, each a random.shuffle of the
     last (Fisher-Yates over one Mersenne Twister stream).
@@ -168,8 +181,8 @@ def random_search(
     if iterations < 1:
         raise InvalidArgument(f"iterations must be >= 1, got {brief(iterations)}")
     check_seed(seed)
+    _check_tensor(pattern, cfg, tensor)
     started = time.perf_counter()
-    tensor = build_score_tensor(pattern, cfg)
     rng = random.Random(seed)
     seq = list(range(pattern.num_wordlines))
 
@@ -229,20 +242,22 @@ def _greedy_chunk(rows: np.ndarray, first: np.ndarray, second: np.ndarray):
     return seqs.T, totals
 
 
-def greedy_arrange(pattern: BlockPattern, cfg: ArchConfig) -> SolverResult:
+def greedy_arrange(pattern: BlockPattern, cfg: ArchConfig, tensor: np.ndarray) -> SolverResult:
     """Constructive baseline: from every ordered pair, repeatedly append the page
     that maximizes the newest complete triple's score; keep the best completion.
 
-    Time O(N^4) in numpy passes; memory O(N^3) for the tensor plus one chunk
-    of starting pairs."""
+    Time O(N^4) in numpy passes; memory one chunk of starting pairs beside
+    the caller's tensor."""
+    _check_tensor(pattern, cfg, tensor)
     started = time.perf_counter()
-    best_order, _, count = _greedy_best(build_score_tensor(pattern, cfg))
+    best_order, _, count = _greedy_best(tensor)
     return _finish(pattern, cfg, best_order, count, started)
 
 
 def simulated_annealing(
     pattern: BlockPattern,
     cfg: ArchConfig,
+    tensor: np.ndarray,
     schedule: AnnealSchedule = AnnealSchedule(),
 ) -> SolverResult:
     """Swap-neighborhood Metropolis search seeded from the greedy arrangement.
@@ -287,9 +302,9 @@ def simulated_annealing(
     beta underflows to 0, every sum involved is below 2**-1022, where float
     addition is exact and d == delta.
     """
+    _check_tensor(pattern, cfg, tensor)
     started = time.perf_counter()
     n = pattern.num_wordlines
-    tensor = build_score_tensor(pattern, cfg)
     rng = random.Random(schedule.seed)
 
     seq, current, greedy_count = _greedy_best(tensor)

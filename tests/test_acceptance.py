@@ -76,10 +76,13 @@ def test_criterion_03_exhaustive_oracle():
         best = -math.inf
         for order in itertools.permutations(range(5)):  # independent enumeration
             best = max(best, na.block_score(na.apply_permutation(pattern, na.Permutation(order)), cfg))
-        solver = na.exhaustive_best(pattern, cfg)
+        tensor = na.build_score_tensor(pattern, cfg)
+        solver = na.exhaustive_best(pattern, cfg, tensor)
         matches += abs(solver.score - best) <= 1e-9 * abs(best)
-    n4 = na.exhaustive_best(na.gen_random_block(na.ArchConfig(num_wordlines=4, cells_per_page=8), 0),
-                            na.ArchConfig(num_wordlines=4, cells_per_page=8))
+    n4_cfg = na.ArchConfig(num_wordlines=4, cells_per_page=8)
+    n4_block = na.gen_random_block(n4_cfg, 0)
+    n4_tensor = na.build_score_tensor(n4_block, n4_cfg)
+    n4 = na.exhaustive_best(n4_block, n4_cfg, n4_tensor)
     elapsed = time.perf_counter() - started
     ok = matches == 100 and n4.evaluations == 24 and elapsed < 10.0
     line = report(3, ok, f"brute-force matches {matches}/100, N=4 evaluations={n4.evaluations}, {elapsed:.1f}s")
@@ -93,9 +96,10 @@ def test_criterion_04_solver_ordering():
     optimum_hits = 0
     for k in range(100):
         pattern = na.gen_random_block(cfg, seed=400 + k)
-        exhaustive = na.exhaustive_best(pattern, cfg)
-        greedy = na.greedy_arrange(pattern, cfg)
-        sa = na.simulated_annealing(pattern, cfg, na.AnnealSchedule(seed=k))
+        tensor = na.build_score_tensor(pattern, cfg)
+        exhaustive = na.exhaustive_best(pattern, cfg, tensor)
+        greedy = na.greedy_arrange(pattern, cfg, tensor)
+        sa = na.simulated_annealing(pattern, cfg, tensor, na.AnnealSchedule(seed=k))
         tol = 1e-9 * abs(exhaustive.score)
         if not (exhaustive.score + tol >= sa.score >= greedy.score - tol):
             ordered = False

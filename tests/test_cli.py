@@ -212,6 +212,29 @@ class TestArrange:
         assert "TooManyWordlines" in err
 
 
+    @pytest.mark.parametrize("solver", ["exhaustive", "random", "greedy", "sa"])
+    def test_stats_counts_one_build_per_classical_solver(self, tmp_path, capsys, solver):
+        out = gen_dataset(tmp_path, capsys, blocks=1, wordlines=5, cells=4)
+        block = next(out.glob("*.pdap"))
+        code, stdout, _ = run(
+            ["arrange", "--in", str(block), "--solver", solver, "--iterations", "50", "--stats"],
+            capsys,
+        )
+        assert code == 0
+        assert stdout.splitlines()[1] == "tensor_builds=1"
+
+    @pytest.mark.parametrize("solver", ["exhaustive", "greedy"])
+    def test_block_past_the_tensor_budget_exits_1(self, tmp_path, capsys, solver):
+        # A 1 KiB file whose score tensor would take 12 GiB.
+        out = gen_dataset(tmp_path, capsys, blocks=1, wordlines=1024, cells=1)
+        block = next(out.glob("*.pdap"))
+        code, stdout, err = run(["arrange", "--in", str(block), "--solver", solver], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: TooManyWordlines: a score tensor at N=1024 needs ")
+        assert err.count("\n") == 1
+
+
 class TestTrainCommand:
     def _config(self, tmp_path, epochs=2):
         cfg_path = tmp_path / "run.json"
@@ -596,6 +619,21 @@ class TestCompare:
         _, greedy, exhaustive = csv_path.read_text().splitlines()
         assert greedy.startswith("greedy,8128.44,6320.0,9393.0,54.49249395599403,")
         assert exhaustive == "exhaustive,error,error,error,error,error"
+
+    def test_builds_one_tensor_per_block(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=5, cells=4)
+        netcfg = NetworkConfig(input_dim=4, hidden_size=4, output_dim=5)
+        model = tmp_path / "model.pdaw"
+        save_checkpoint(model, init_params(netcfg, seed=0), netcfg)
+        for names, builds in (("greedy,sa,random", 10), ("lstm", 0)):
+            before = tensor_build_count()
+            code, _, _ = run(
+                ["compare", "--data-dir", str(data), "--solvers", names, "--iterations", "50",
+                 "--model", str(model)],
+                capsys,
+            )
+            assert code == 0
+            assert tensor_build_count() - before == builds, names
 
     def test_invalid_iterations_exit_1_before_any_row(self, tmp_path, capsys):
         data = gen_dataset(tmp_path, capsys, blocks=10, wordlines=5, cells=4)

@@ -450,8 +450,9 @@ class TestChunkSizesAtBenchmarkShapes:
         cfg = ArchConfig(num_wordlines=8, cells_per_page=32)
         block = gen_random_block(cfg, seed=2)
         walks = _chunk_lengths(monkeypatch, solvers)
-        random_search(block, cfg, 2000, 0)
-        random_search(block, cfg, 10_000, 0)
+        tensor = build_score_tensor(block, cfg)
+        random_search(block, cfg, tensor, 2000, 0)
+        random_search(block, cfg, tensor, 10_000, 0)
         assert walks == [[2000], [8192, 1808]]
 
     def test_only_paper_scale_passes_start_helper_threads(self, cpus, helpers):
@@ -475,7 +476,9 @@ class TestChunkSizesAtBenchmarkShapes:
     def test_exhaustive_walks_8192_rows_at_n8(self, monkeypatch):
         cfg = ArchConfig(num_wordlines=8, cells_per_page=32)
         walks = _chunk_lengths(monkeypatch, solvers)
-        exhaustive_best(gen_random_block(cfg, seed=3), cfg)
+        block = gen_random_block(cfg, seed=3)
+        tensor = build_score_tensor(block, cfg)
+        exhaustive_best(block, cfg, tensor)
         assert walks == [[8192] * 4 + [40_320 - 4 * 8192]]
 
 
@@ -485,11 +488,12 @@ def _every_chunked_pass(cells):
     block = BlockPattern(cells)
     voltages = simulate_retention(block, cfg, RetentionConfig(seed=21))
     readback = read_back(voltages)
+    tensor = build_score_tensor(block, cfg)
     results = [
-        exhaustive_best(block, cfg),
-        random_search(block, cfg, 300, 5),
-        greedy_arrange(block, cfg),
-        simulated_annealing(block, cfg, AnnealSchedule(iterations=500, seed=5)),
+        exhaustive_best(block, cfg, tensor),
+        random_search(block, cfg, tensor, 300, 5),
+        greedy_arrange(block, cfg, tensor),
+        simulated_annealing(block, cfg, tensor, AnnealSchedule(iterations=500, seed=5)),
     ]
     return {
         "block_score": block_score(block, cfg).hex(),
@@ -530,6 +534,7 @@ LONG = 10**400  # printed in full, its 401 digits would swamp the message
 # (site, error, the values of +-HUGE and LONG it refuses): every library
 # refusal that prints a number its caller passed in. test_cli.py covers the
 # command line's own.
+TINY_TENSOR = build_score_tensor(pattern_of([[0], [1], [2]]), ArchConfig(3, 1))
 REFUSAL_SITES = {
     "check_seed": (core.check_seed, InvalidArgument, (-HUGE,)),
     "ArchConfig.num_wordlines": (
@@ -557,7 +562,7 @@ REFUSAL_SITES = {
         lambda v: AnnealSchedule(iterations=v), InvalidArgument, (-HUGE,)
     ),
     "random_search.iterations": (
-        lambda v: random_search(pattern_of([[0], [1], [2]]), ArchConfig(3, 1), v, 0),
+        lambda v: random_search(pattern_of([[0], [1], [2]]), ArchConfig(3, 1), TINY_TENSOR, v, 0),
         InvalidArgument,
         (-HUGE,),
     ),

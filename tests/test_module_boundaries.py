@@ -1,7 +1,8 @@
 """Each module of the package uses only the public names of its siblings,
-neural imports nothing from the scorer, a training step in neural builds no
-array, only core makes or changes a BlockPattern past its constructor, and no
-module holds a writable array."""
+neural imports nothing from the scorer, only the command line builds a score
+tensor for a solver, a training step in neural builds no array, only core
+makes or changes a BlockPattern past its constructor, and no module holds a
+writable array."""
 
 import ast
 import importlib
@@ -99,6 +100,48 @@ def test_the_import_guard_sees_every_form(tmp_path):
         probe = tmp_path / "probe.py"
         probe.write_text(f"{form}\nfrom .core import BlockPattern\nimport numpy\n")
         assert _sibling_imports(probe) == {"scoring", "core"}, form
+
+
+def _names_of(path, name):
+    """Lines of the module at ``path`` that define, import, bind or read ``name``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            found.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if any(name in (alias.name, alias.asname) for alias in node.names):
+                found.add(node.lineno)
+        elif (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        ):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_only_the_command_line_builds_a_score_tensor():
+    # Solvers search the tensor their caller built, so that one build per
+    # block serves them all; the package namespace only re-exports the name.
+    naming = {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if _names_of(path, "build_score_tensor")
+    }
+    assert naming == {"scoring", "cli", "__init__"}
+
+
+def test_the_build_guard_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .scoring import build_score_tensor\n"
+        "from . import scoring\n"
+        "scoring.build_score_tensor(p, c)\n"
+        "from .scoring import block_score as build_score_tensor\n"
+        "build = build_score_tensor\n"
+        "scoring.block_score(p, c)\n"
+        "def build_score_tensor(p, c):\n"
+        "    pass\n"
+    )
+    assert _names_of(probe, "build_score_tensor") == [1, 3, 4, 5, 7]
 
 
 ARRAY_CONSTRUCTORS = {"empty", "zeros", "ones", "full", "array", "copy", "concatenate", "stack"}

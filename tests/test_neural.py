@@ -329,6 +329,17 @@ class TestLstmForward:
             expected, _ = _reference_lstm_pass(pattern.cells, params, netcfg)
             assert_close_to_max(lstm_forward(pattern, params, netcfg), expected, 1e-13)
 
+    def test_a_warm_recurrence_allocates_no_array(self, peak_bytes):
+        # Every operand of the recurrence has the shape it writes, so numpy
+        # needs no buffer: one broadcast weight or bias operand alone would
+        # take 4-9 KiB at N=8, C=32, H=16.
+        netcfg = NetworkConfig(input_dim=32, hidden_size=16, output_dim=8)
+        params = init_params(netcfg, seed=1)
+        ws = neural._Workspace(netcfg)
+        x = gen_random_block(ArchConfig(num_wordlines=8, cells_per_page=32), seed=1).cells / 15.0
+        neural._lstm_into(ws, x, params)
+        assert peak_bytes(neural._lstm_into, ws, x, params) < 2**10
+
 
 class TestHeadForward:
     def test_zero_head_gives_uniform_rows(self):

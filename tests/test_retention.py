@@ -315,13 +315,14 @@ def test_arranged_blocks_read_back_with_fewer_errors():
     # Paired comparison: annealing the arrangement before the channel should
     # not raise the BER. Measured 50/50 strict wins; asserted with headroom.
     cfg = ArchConfig(num_wordlines=8, cells_per_page=64)
-    from nandarrange import AnnealSchedule, apply_permutation, simulated_annealing
+    from nandarrange import AnnealSchedule, apply_permutation, build_score_tensor, simulated_annealing
 
     not_worse = 0
     deltas = []
     for k in range(50):
         block = gen_random_block(cfg, seed=4000 + k)
-        result = simulated_annealing(block, cfg, AnnealSchedule(seed=k, iterations=3000))
+        tensor = build_score_tensor(block, cfg)
+        result = simulated_annealing(block, cfg, tensor, AnnealSchedule(seed=k, iterations=3000))
         arranged = apply_permutation(block, result.perm)
         rcfg = RetentionConfig(seed=k)
         ber_id = measure_ber(block, read_back(simulate_retention(block, cfg, rcfg)))

@@ -15,7 +15,7 @@ from nandarrange import (
     cell_score,
 )
 from nandarrange import core
-from nandarrange.errors import DimensionMismatch, LevelOutOfRange
+from nandarrange.errors import DimensionMismatch, LevelOutOfRange, TooManyWordlines
 from nandarrange.scoring import (
     _EXACT_BLOCK_CELLS,
     _block_width,
@@ -408,6 +408,26 @@ def test_tensor_build_memory_is_bounded_at_wide_blocks(peak_bytes):
     assert peak_bytes(build_score_tensor, pattern, cfg) < 32 * 2**20
 
 
+def test_budget_admits_n_563_and_no_more():
+    # The build's N^3 arrays are the float64 tensor and the float32 products.
+    assert 12 * 563**3 <= core.TENSOR_BYTES < 12 * 564**3
+
+
+@pytest.mark.parametrize("n", [564, 1024])
+def test_tensor_past_the_budget_is_refused_before_anything_is_allocated(peak_bytes, n):
+    cfg = ArchConfig(num_wordlines=n, cells_per_page=1)
+    pattern = BlockPattern(np.zeros((n, 1), dtype=np.uint8))
+    before = tensor_build_count()
+
+    def refuse():
+        with pytest.raises(TooManyWordlines, match=rf"^a score tensor at N={n} needs {12 * n**3} bytes"):
+            build_score_tensor(pattern, cfg)
+
+    # The tensor alone would be 8 N^3 bytes: 1.4 GiB at N=564.
+    assert peak_bytes(refuse) < 64 * 2**10
+    assert tensor_build_count() == before
+
+
 def _erase_heavy_block(n, c, seed):
     rng = np.random.default_rng(seed)
     cells = np.where(rng.random((n, c)) < 0.4, 0, rng.integers(1, 16, size=(n, c)))
@@ -521,4 +541,8 @@ def test_alpha_invariant_argmax():
     base = ArchConfig(num_wordlines=5, cells_per_page=4)
     scaled = ArchConfig(num_wordlines=5, cells_per_page=4, alpha=3.0)
     pattern = BlockPattern(cells)
-    assert exhaustive_best(pattern, base).perm.order == exhaustive_best(pattern, scaled).perm.order
+    base_tensor, scaled_tensor = build_score_tensor(pattern, base), build_score_tensor(pattern, scaled)
+    assert (
+        exhaustive_best(pattern, base, base_tensor).perm.order
+        == exhaustive_best(pattern, scaled, scaled_tensor).perm.order
+    )

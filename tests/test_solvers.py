@@ -27,7 +27,7 @@ from nandarrange import (
     tensor_build_count,
 )
 from nandarrange import core, solvers
-from nandarrange.errors import InvalidArgument, TooManyWordlines
+from nandarrange.errors import DimensionMismatch, InvalidArgument, TooManyWordlines
 
 
 def brute_force_max(pattern, cfg):
@@ -181,14 +181,18 @@ def greedy_cases(draw):
 class TestExhaustive:
     def test_evaluates_24_permutations_at_n4(self):
         cfg = ArchConfig(num_wordlines=4, cells_per_page=4)
-        result = exhaustive_best(gen_random_block(cfg, seed=3), cfg)
+        pattern = gen_random_block(cfg, seed=3)
+        tensor = build_score_tensor(pattern, cfg)
+        result = exhaustive_best(pattern, cfg, tensor)
         assert result.evaluations == 24
 
     def test_identical_rows_give_identity(self):
         for n in range(3, 9):
             cfg = ArchConfig(num_wordlines=n, cells_per_page=4)
             cells = np.tile(np.array([1, 5, 9, 13], dtype=np.uint8), (n, 1))
-            result = exhaustive_best(BlockPattern(cells), cfg)
+            pattern = BlockPattern(cells)
+            tensor = build_score_tensor(pattern, cfg)
+            result = exhaustive_best(pattern, cfg, tensor)
             assert result.perm.order == tuple(range(n))
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -201,8 +205,9 @@ class TestExhaustive:
     def test_matches_reference_loop(self, n, kind):
         cfg = ArchConfig(num_wordlines=n, cells_per_page=6)
         pattern = make_block(kind, n, 6, seed=n)
-        order, _, count = _reference_exhaustive(build_score_tensor(pattern, cfg).tolist(), n)
-        result = exhaustive_best(pattern, cfg)
+        tensor = build_score_tensor(pattern, cfg)
+        order, _, count = _reference_exhaustive(tensor.tolist(), n)
+        result = exhaustive_best(pattern, cfg, tensor)
         assert list(result.perm.order) == order
         assert result.evaluations == count == math.factorial(n)
         assert result.score.hex() == block_score(apply_permutation(pattern, Permutation(tuple(order))), cfg).hex()
@@ -214,23 +219,28 @@ class TestExhaustive:
         # each pass ran over all N! rows).
         cfg = ArchConfig(num_wordlines=9, cells_per_page=4)
         pattern = gen_random_block(cfg, seed=9)
-        assert peak_bytes(exhaustive_best, pattern, cfg) < 5 * 2**20
+        tensor = build_score_tensor(pattern, cfg)
+        assert peak_bytes(exhaustive_best, pattern, cfg, tensor) < 5 * 2**20
 
     def test_matches_independent_enumeration(self):
         cfg = ArchConfig(num_wordlines=5, cells_per_page=4)
         pattern = gen_random_block(cfg, seed=42)
-        result = exhaustive_best(pattern, cfg)
+        tensor = build_score_tensor(pattern, cfg)
+        result = exhaustive_best(pattern, cfg, tensor)
         assert result.score == pytest.approx(brute_force_max(pattern, cfg), rel=1e-12)
 
     def test_refuses_large_n(self):
         cfg = ArchConfig(num_wordlines=10, cells_per_page=2)
+        pattern = gen_random_block(cfg, seed=0)
+        tensor = build_score_tensor(pattern, cfg)
         with pytest.raises(TooManyWordlines):
-            exhaustive_best(gen_random_block(cfg, seed=0), cfg)
+            exhaustive_best(pattern, cfg, tensor)
 
     def test_score_matches_recomputation(self):
         cfg = ArchConfig(num_wordlines=5, cells_per_page=4)
         pattern = gen_random_block(cfg, seed=8)
-        result = exhaustive_best(pattern, cfg)
+        tensor = build_score_tensor(pattern, cfg)
+        result = exhaustive_best(pattern, cfg, tensor)
         assert result.score == block_score(apply_permutation(pattern, result.perm), cfg)
 
 
@@ -238,22 +248,25 @@ class TestRandomSearch:
     def test_single_iteration_scores_one_sample(self):
         cfg = ArchConfig(num_wordlines=5, cells_per_page=4)
         pattern = gen_random_block(cfg, seed=1)
-        result = random_search(pattern, cfg, iterations=1, seed=0)
+        tensor = build_score_tensor(pattern, cfg)
+        result = random_search(pattern, cfg, tensor, iterations=1, seed=0)
         assert result.evaluations == 1
         assert result.score == block_score(apply_permutation(pattern, result.perm), cfg)
 
     def test_deterministic(self):
         cfg = ArchConfig(num_wordlines=6, cells_per_page=4)
         pattern = gen_random_block(cfg, seed=2)
-        a = random_search(pattern, cfg, iterations=50, seed=9)
-        b = random_search(pattern, cfg, iterations=50, seed=9)
+        tensor = build_score_tensor(pattern, cfg)
+        a = random_search(pattern, cfg, tensor, iterations=50, seed=9)
+        b = random_search(pattern, cfg, tensor, iterations=50, seed=9)
         assert a.perm.order == b.perm.order and a.score == b.score
 
     def test_never_exceeds_exhaustive(self):
         cfg = ArchConfig(num_wordlines=5, cells_per_page=4)
         pattern = gen_random_block(cfg, seed=3)
-        best = exhaustive_best(pattern, cfg).score
-        assert random_search(pattern, cfg, iterations=200, seed=1).score <= best
+        tensor = build_score_tensor(pattern, cfg)
+        best = exhaustive_best(pattern, cfg, tensor).score
+        assert random_search(pattern, cfg, tensor, iterations=200, seed=1).score <= best
 
     def test_usually_finds_small_optimum(self):
         # 10000 draws over 120 permutations: the optimum is found essentially
@@ -262,22 +275,27 @@ class TestRandomSearch:
         hits = 0
         for trial in range(100):
             pattern = gen_random_block(cfg, seed=500 + trial)
-            best = exhaustive_best(pattern, cfg).score
-            found = random_search(pattern, cfg, iterations=10000, seed=trial).score
+            tensor = build_score_tensor(pattern, cfg)
+            best = exhaustive_best(pattern, cfg, tensor).score
+            found = random_search(pattern, cfg, tensor, iterations=10000, seed=trial).score
             hits += found == pytest.approx(best, rel=1e-12)
         assert hits >= 99
 
     def test_rejects_zero_iterations(self):
         cfg = ArchConfig(num_wordlines=5, cells_per_page=4)
+        pattern = gen_random_block(cfg, seed=0)
+        tensor = build_score_tensor(pattern, cfg)
         with pytest.raises(InvalidArgument):
-            random_search(gen_random_block(cfg, seed=0), cfg, iterations=0, seed=0)
+            random_search(pattern, cfg, tensor, iterations=0, seed=0)
 
     def test_rejects_negative_seed(self):
         # random.Random(-s) follows Random(s)'s stream, so -3 would repeat 3.
         assert random.Random(-3).random() == random.Random(3).random()
         cfg = ArchConfig(num_wordlines=5, cells_per_page=4)
+        pattern = gen_random_block(cfg, seed=0)
+        tensor = build_score_tensor(pattern, cfg)
         with pytest.raises(InvalidArgument, match="seed must be non-negative, got -3"):
-            random_search(gen_random_block(cfg, seed=0), cfg, iterations=10, seed=-3)
+            random_search(pattern, cfg, tensor, iterations=10, seed=-3)
 
     @given(
         kind=st.sampled_from(BLOCK_KINDS),
@@ -297,7 +315,8 @@ class TestRandomSearch:
         cfg = ArchConfig(num_wordlines=n, cells_per_page=c)
         pattern = make_block(kind, n, c, block_seed)
         order, score, count = _reference_random_search(pattern, cfg, iterations, seed)
-        result = random_search(pattern, cfg, iterations=iterations, seed=seed)
+        tensor = build_score_tensor(pattern, cfg)
+        result = random_search(pattern, cfg, tensor, iterations=iterations, seed=seed)
         assert result.perm.order == order
         assert result.score.hex() == score.hex()
         assert result.evaluations == count
@@ -320,9 +339,10 @@ class TestRandomSearch:
         cfg = ArchConfig(num_wordlines=n, cells_per_page=c)
         pattern = make_block(kind, n, c, block_seed)
         order, score, count = _reference_random_search(pattern, cfg, iterations, seed)
+        tensor = build_score_tensor(pattern, cfg)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "CHUNK_BYTES", rows * 16 * n)
-            result = random_search(pattern, cfg, iterations=iterations, seed=seed)
+            result = random_search(pattern, cfg, tensor, iterations=iterations, seed=seed)
         assert result.perm.order == order
         assert result.score.hex() == score.hex()
         assert result.evaluations == count
@@ -332,20 +352,28 @@ class TestRandomSearch:
         # 512 KiB index array.
         cfg = ArchConfig(num_wordlines=64, cells_per_page=64)
         pattern = gen_random_block(cfg, seed=5)
-        assert peak_bytes(random_search, pattern, cfg, 5000, 1) < 16 * 2**20
+
+        def build_and_search():
+            random_search(pattern, cfg, build_score_tensor(pattern, cfg), 5000, 1)
+
+        assert peak_bytes(build_and_search) < 16 * 2**20
 
 
 class TestGreedy:
     def test_identical_rows_give_identity(self):
         cfg = ArchConfig(num_wordlines=5, cells_per_page=3)
         cells = np.tile(np.array([2, 7, 11], dtype=np.uint8), (5, 1))
-        assert greedy_arrange(BlockPattern(cells), cfg).perm.order == (0, 1, 2, 3, 4)
+        pattern = BlockPattern(cells)
+        tensor = build_score_tensor(pattern, cfg)
+        assert greedy_arrange(pattern, cfg, tensor).perm.order == (0, 1, 2, 3, 4)
 
     def test_bounded_by_exhaustive(self):
         cfg = ArchConfig(num_wordlines=6, cells_per_page=8)
         for seed in range(10):
             pattern = gen_random_block(cfg, seed=seed)
-            assert greedy_arrange(pattern, cfg).score <= exhaustive_best(pattern, cfg).score + 1e-9
+            tensor = build_score_tensor(pattern, cfg)
+            best = exhaustive_best(pattern, cfg, tensor).score
+            assert greedy_arrange(pattern, cfg, tensor).score <= best + 1e-9
 
     def test_beats_mean_of_random_permutations(self):
         cfg = ArchConfig(num_wordlines=6, cells_per_page=8)
@@ -355,11 +383,14 @@ class TestGreedy:
             block_score(apply_permutation(pattern, Permutation(tuple(map(int, rng.permutation(6))))), cfg)
             for _ in range(1000)
         ]
-        assert greedy_arrange(pattern, cfg).score >= np.mean(samples)
+        tensor = build_score_tensor(pattern, cfg)
+        assert greedy_arrange(pattern, cfg, tensor).score >= np.mean(samples)
 
     def test_evaluation_count(self):
         cfg = ArchConfig(num_wordlines=5, cells_per_page=2)
-        assert greedy_arrange(gen_random_block(cfg, seed=0), cfg).evaluations == 5 * 4
+        pattern = gen_random_block(cfg, seed=0)
+        tensor = build_score_tensor(pattern, cfg)
+        assert greedy_arrange(pattern, cfg, tensor).evaluations == 5 * 4
 
     @given(greedy_cases())
     @settings(max_examples=150, deadline=None)
@@ -376,8 +407,9 @@ class TestGreedy:
     def test_matches_reference_loop_at_n64(self, seed):
         cfg = ArchConfig(num_wordlines=64, cells_per_page=64)
         pattern = gen_random_block(cfg, seed=seed)
-        order, _, count = _reference_greedy(build_score_tensor(pattern, cfg).tolist(), 64)
-        result = greedy_arrange(pattern, cfg)
+        tensor = build_score_tensor(pattern, cfg)
+        order, _, count = _reference_greedy(tensor.tolist(), 64)
+        result = greedy_arrange(pattern, cfg, tensor)
         assert list(result.perm.order) == order
         assert result.evaluations == count
 
@@ -419,7 +451,11 @@ class TestGreedy:
         # starting pairs: three 512 KiB (pairs, N) arrays.
         cfg = ArchConfig(num_wordlines=64, cells_per_page=64)
         pattern = gen_random_block(cfg, seed=4)
-        assert peak_bytes(greedy_arrange, pattern, cfg) < 6 * 2**20
+
+        def build_and_search():
+            greedy_arrange(pattern, cfg, build_score_tensor(pattern, cfg))
+
+        assert peak_bytes(build_and_search) < 6 * 2**20
 
     def test_memory_does_not_grow_with_the_starting_pairs(self, peak_bytes):
         # At N=128 the tensor is 16 MiB and its build peaks near 26 MiB. One
@@ -427,7 +463,11 @@ class TestGreedy:
         # (pairs, N) arrays on top; 512-pair chunks hold three 512 KiB ones.
         cfg = ArchConfig(num_wordlines=128, cells_per_page=64)
         pattern = gen_random_block(cfg, seed=4)
-        assert peak_bytes(greedy_arrange, pattern, cfg) < 32 * 2**20
+
+        def build_and_search():
+            greedy_arrange(pattern, cfg, build_score_tensor(pattern, cfg))
+
+        assert peak_bytes(build_and_search) < 32 * 2**20
 
 
 class TestSimulatedAnnealing:
@@ -448,8 +488,9 @@ class TestSimulatedAnnealing:
     def test_single_iteration_at_least_greedy(self):
         cfg = ArchConfig(num_wordlines=6, cells_per_page=8)
         pattern = gen_random_block(cfg, seed=11)
-        greedy = greedy_arrange(pattern, cfg).score
-        result = simulated_annealing(pattern, cfg, AnnealSchedule(iterations=1, seed=0))
+        tensor = build_score_tensor(pattern, cfg)
+        greedy = greedy_arrange(pattern, cfg, tensor).score
+        result = simulated_annealing(pattern, cfg, tensor, AnnealSchedule(iterations=1, seed=0))
         assert result.score >= greedy
 
     def test_zero_temperature_hill_climbs(self):
@@ -459,7 +500,8 @@ class TestSimulatedAnnealing:
         history = []
         order, score, count = _reference_simulated_annealing(pattern, cfg, schedule, history)
         assert all(b >= a for a, b in zip(history, history[1:]))
-        result = simulated_annealing(pattern, cfg, schedule)
+        tensor = build_score_tensor(pattern, cfg)
+        result = simulated_annealing(pattern, cfg, tensor, schedule)
         assert (result.perm.order, result.score.hex(), result.evaluations) == (
             order, score.hex(), count)
 
@@ -467,18 +509,20 @@ class TestSimulatedAnnealing:
         cfg = ArchConfig(num_wordlines=6, cells_per_page=8)
         pattern = gen_random_block(cfg, seed=17)
         schedule = AnnealSchedule(iterations=500, seed=21)
-        a = simulated_annealing(pattern, cfg, schedule)
-        b = simulated_annealing(pattern, cfg, schedule)
+        tensor = build_score_tensor(pattern, cfg)
+        a = simulated_annealing(pattern, cfg, tensor, schedule)
+        b = simulated_annealing(pattern, cfg, tensor, schedule)
         assert a.perm.order == b.perm.order and a.score == b.score
-        default = simulated_annealing(pattern, cfg)  # no schedule: AnnealSchedule()
-        explicit = simulated_annealing(pattern, cfg, AnnealSchedule())
+        default = simulated_annealing(pattern, cfg, tensor)  # no schedule: AnnealSchedule()
+        explicit = simulated_annealing(pattern, cfg, tensor, AnnealSchedule())
         assert (default.perm.order, default.score, default.evaluations) == (
             explicit.perm.order, explicit.score, explicit.evaluations)
 
     def test_score_matches_recomputation(self):
         cfg = ArchConfig(num_wordlines=6, cells_per_page=8)
         pattern = gen_random_block(cfg, seed=19)
-        result = simulated_annealing(pattern, cfg, AnnealSchedule(iterations=300, seed=5))
+        tensor = build_score_tensor(pattern, cfg)
+        result = simulated_annealing(pattern, cfg, tensor, AnnealSchedule(iterations=300, seed=5))
         assert result.score == block_score(apply_permutation(pattern, result.perm), cfg)
 
     @given(
@@ -505,7 +549,8 @@ class TestSimulatedAnnealing:
             initial_temperature=t0, cooling_factor=cooling, iterations=iterations, seed=seed
         )
         order, score, count = _reference_simulated_annealing(pattern, cfg, schedule)
-        result = simulated_annealing(pattern, cfg, schedule)
+        tensor = build_score_tensor(pattern, cfg)
+        result = simulated_annealing(pattern, cfg, tensor, schedule)
         assert result.perm.order == order
         assert result.score.hex() == score.hex()
         assert result.evaluations == count
@@ -517,13 +562,14 @@ class TestSimulatedAnnealing:
         calls = []
         exact_sum = solvers._seq_score
         monkeypatch.setattr(solvers, "_seq_score", lambda *args: calls.append(1) or exact_sum(*args))
-        fast = simulated_annealing(pattern, cfg, schedule)
+        tensor = build_score_tensor(pattern, cfg)
+        fast = simulated_annealing(pattern, cfg, tensor, schedule)
         # The touched-triple deltas settle almost every step by themselves.
         assert len(calls) < schedule.iterations // 100
         # A huge slack sends every step to the exact sums.
         monkeypatch.setattr(solvers, "_SA_SLACK", 1e300)
         calls.clear()
-        slow = simulated_annealing(pattern, cfg, schedule)
+        slow = simulated_annealing(pattern, cfg, tensor, schedule)
         assert len(calls) >= schedule.iterations
         assert (slow.perm.order, slow.score.hex(), slow.evaluations) == (
             fast.perm.order, fast.score.hex(), fast.evaluations)
@@ -551,10 +597,11 @@ class TestSimulatedAnnealing:
             band_hits += event == "line" and frame.f_lineno == band_line
             return count_band
 
+        tensor = build_score_tensor(pattern, cfg)
         previous = sys.gettrace()
         sys.settrace(lambda frame, event, arg: count_band if frame.f_code is code else None)
         try:
-            result = simulated_annealing(pattern, cfg, schedule)
+            result = simulated_annealing(pattern, cfg, tensor, schedule)
         finally:
             sys.settrace(previous)
         assert band_hits > 0
@@ -647,7 +694,9 @@ PINNED_ANNEALING_SCHEDULES = {
 @pytest.mark.parametrize("n,c,block_seed,iterations,seed,perm,score,evaluations", PINNED_RANDOM_SEARCH)
 def test_random_search_is_pinned(n, c, block_seed, iterations, seed, perm, score, evaluations):
     cfg = ArchConfig(num_wordlines=n, cells_per_page=c)
-    result = random_search(gen_random_block(cfg, seed=block_seed), cfg, iterations=iterations, seed=seed)
+    pattern = gen_random_block(cfg, seed=block_seed)
+    tensor = build_score_tensor(pattern, cfg)
+    result = random_search(pattern, cfg, tensor, iterations=iterations, seed=seed)
     assert (result.perm.order, result.score, result.evaluations) == (perm, score, evaluations)
 
 
@@ -658,11 +707,13 @@ def test_simulated_annealing_is_pinned(
     cfg = ArchConfig(num_wordlines=n, cells_per_page=c)
     extra = PINNED_ANNEALING_SCHEDULES.get((n, c, block_seed, iterations, seed), {})
     schedule = AnnealSchedule(iterations=iterations, seed=seed, **extra)
+    pattern = gen_random_block(cfg, seed=block_seed)
+    tensor = build_score_tensor(pattern, cfg)
     # A slack above the rounding bound only sends more steps to the exact
     # sums; at 2**38 draws land in the band, where the exact sums decide.
     for slack in (solvers._SA_SLACK, 2.0**38):
         monkeypatch.setattr(solvers, "_SA_SLACK", slack)
-        result = simulated_annealing(gen_random_block(cfg, seed=block_seed), cfg, schedule)
+        result = simulated_annealing(pattern, cfg, tensor, schedule)
         assert (result.perm.order, result.score, result.evaluations) == (perm, score, evaluations)
 
 
@@ -670,16 +721,50 @@ def test_all_solvers_return_valid_bijections_and_obey_exhaustive_bound():
     cfg = ArchConfig(num_wordlines=6, cells_per_page=6)
     for seed in range(5):
         pattern = gen_random_block(cfg, seed=100 + seed)
-        best = exhaustive_best(pattern, cfg)
+        tensor = build_score_tensor(pattern, cfg)
+        best = exhaustive_best(pattern, cfg, tensor)
         others = [
-            random_search(pattern, cfg, iterations=100, seed=seed),
-            greedy_arrange(pattern, cfg),
-            simulated_annealing(pattern, cfg, AnnealSchedule(iterations=500, seed=seed)),
+            random_search(pattern, cfg, tensor, iterations=100, seed=seed),
+            greedy_arrange(pattern, cfg, tensor),
+            simulated_annealing(pattern, cfg, tensor, AnnealSchedule(iterations=500, seed=seed)),
         ]
         for result in [best] + others:
             assert sorted(result.perm.order) == list(range(6))
         for result in others:
             assert result.score <= best.score + 1e-9 * abs(best.score)
+
+
+CLASSICAL_SOLVERS = {
+    "exhaustive": exhaustive_best,
+    "random": lambda pattern, cfg, tensor: random_search(pattern, cfg, tensor, 10, 0),
+    "greedy": greedy_arrange,
+    "sa": simulated_annealing,
+}
+
+
+@pytest.mark.parametrize("shape", [(5, 5, 5), (6, 6), (6, 6, 5), (6, 6, 6, 1), (36, 6)])
+@pytest.mark.parametrize("name", CLASSICAL_SOLVERS)
+def test_a_tensor_not_of_the_blocks_shape_is_refused(name, shape):
+    cfg = ArchConfig(num_wordlines=6, cells_per_page=4)
+    pattern = gen_random_block(cfg, seed=1)
+    with pytest.raises(DimensionMismatch, match=r"^score tensor has shape .*, N=6 wants \(6, 6, 6\)$"):
+        CLASSICAL_SOLVERS[name](pattern, cfg, np.zeros(shape))
+
+
+@pytest.mark.parametrize("name", CLASSICAL_SOLVERS)
+def test_solvers_search_the_callers_tensor_and_build_none(name):
+    cfg = ArchConfig(num_wordlines=6, cells_per_page=4)
+    pattern = gen_random_block(cfg, seed=1)
+    before = tensor_build_count()
+    # An all-zero tensor ties every order, so each solver keeps the first one
+    # it scores: the identity, or random search's first draw.
+    result = CLASSICAL_SOLVERS[name](pattern, cfg, np.zeros((6, 6, 6)))
+    assert tensor_build_count() == before
+    first = list(range(6))
+    if name == "random":
+        random.Random(0).shuffle(first)
+    assert result.perm.order == tuple(first)
+    assert result.score == block_score(apply_permutation(pattern, result.perm), cfg)
 
 
 def _log_uniform(low, high):
@@ -701,11 +786,12 @@ def test_admitted_coefficients_give_finite_scores_and_bijections(n, c, k1, k2, a
     except InvalidArgument:
         return
     pattern = make_block("random", n, c, block_seed)
-    assert np.isfinite(build_score_tensor(pattern, cfg)).all()
+    tensor = build_score_tensor(pattern, cfg)
+    assert np.isfinite(tensor).all()
     assert math.isfinite(block_score(pattern, cfg))
     for result in (
-        greedy_arrange(pattern, cfg),
-        simulated_annealing(pattern, cfg, AnnealSchedule(iterations=200, seed=block_seed)),
+        greedy_arrange(pattern, cfg, tensor),
+        simulated_annealing(pattern, cfg, tensor, AnnealSchedule(iterations=200, seed=block_seed)),
     ):
         assert sorted(result.perm.order) == list(range(n))
         assert math.isfinite(result.score)
