@@ -247,6 +247,16 @@ SOLVERS = {
 }
 
 
+def _tensor_for(name: str, pattern, cfg):
+    """The block's score tensor for solver ``name``, None for lstm. Exhaustive
+    search refuses a block past its limit before the tensor is built."""
+    if name == "lstm":
+        return None
+    if name == "exhaustive":
+        solvers.check_exhaustive(pattern.num_wordlines)
+    return scoring.build_score_tensor(pattern, cfg)
+
+
 def _load_model(path: str | None):
     if path is None:
         return None
@@ -261,7 +271,7 @@ def cmd_arrange(args) -> int:
     model = _load_model(args.model)
     schedule = solvers.AnnealSchedule(args.t0, args.cooling, args.iterations, args.seed)
     original = scoring.block_score(pattern, cfg)
-    tensor = None if args.solver == "lstm" else scoring.build_score_tensor(pattern, cfg)
+    tensor = _tensor_for(args.solver, pattern, cfg)
     result = SOLVERS[args.solver](pattern, cfg, tensor, schedule, model)
     if args.out_map:
         data_io.save_mapping_table(args.out_map, result.perm)
@@ -353,8 +363,8 @@ def cmd_compare(args) -> int:
             if errors[k]:
                 continue
             try:
-                if tensor is None and name != "lstm":
-                    tensor = scoring.build_score_tensor(block, cfg)
+                if tensor is None:
+                    tensor = _tensor_for(name, block, cfg)
                 result = SOLVERS[name](block, cfg, tensor, block_schedule, model)
             except ArrangeError as exc:
                 errors[k] = exc

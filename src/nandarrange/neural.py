@@ -170,16 +170,13 @@ class _Forward:
         self.mul = np.full(4 * h, 0.5)
         self.mul[2 * h : 3 * h] = 1.0
         self.add = 1.0 - self.mul
-        # The input projection's bias and mul, one row per step: numpy buffers
-        # a broadcast operand, so zx is scaled by arrays of its own shape.
+        # numpy buffers a broadcast operand, so the input projection and the
+        # recurrent weights are shifted and scaled by arrays of their own shape.
         self.zx = np.empty((n, 4 * h))
         self.bias_rows = np.empty((n, 4 * h))
         self.mul_rows = np.tile(self.mul, (n, 1))
-        # The recurrent weights times mul: all rows halved, then the cell
-        # candidate's rows copied back over, which is the same bits.
         self.w_hidden = np.empty((4 * h, h))
-        self.cell_rows = slice(2 * h, 3 * h)
-        self.w_hidden_cell = self.w_hidden[self.cell_rows]
+        self.mul_hidden = np.tile(self.mul[:, None], (1, h))
         self.zh = np.empty(4 * h)
         self.hs = np.zeros((n + 1, h))
         self.cs = np.zeros((n + 1, h))
@@ -276,8 +273,7 @@ def _lstm_into(ws: _Forward, x: np.ndarray, params: NetworkParams) -> None:
     np.copyto(ws.bias_rows, params.bias)
     zx += ws.bias_rows
     zx *= ws.mul_rows
-    np.multiply(params.w_hidden, 0.5, out=w_hidden)
-    np.copyto(ws.w_hidden_cell, params.w_hidden[ws.cell_rows])
+    np.multiply(params.w_hidden, ws.mul_hidden, out=w_hidden)
     for zx_t, h_prev, h_t, c_prev, c_t, g_t, gi, gf, gg, go, tanh_c in ws.forward_steps:
         np.matmul(w_hidden, h_prev, out=zh)
         np.add(zx_t, zh, out=g_t)

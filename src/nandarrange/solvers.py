@@ -125,8 +125,18 @@ def _check_tensor(pattern: BlockPattern, cfg: ArchConfig, tensor: np.ndarray) ->
     is the N x N x N shape of its score tensor."""
     validate_pattern(pattern, cfg)
     n = pattern.num_wordlines
-    if tensor.shape != (n, n, n):
-        raise DimensionMismatch(f"score tensor has shape {tensor.shape}, N={n} wants {(n, n, n)}")
+    shape = np.shape(tensor)
+    if shape != (n, n, n):
+        raise DimensionMismatch(f"score tensor has shape {shape}, N={n} wants {(n, n, n)}")
+
+
+def check_exhaustive(n: int) -> None:
+    """Raise TooManyWordlines when exhaustive search refuses N=n, which a
+    caller can ask before it builds the block's tensor."""
+    if n > EXHAUSTIVE_LIMIT:
+        raise TooManyWordlines(
+            f"exhaustive search refuses N={n} (limit {EXHAUSTIVE_LIMIT}; use sa instead)"
+        )
 
 
 def _finish(pattern, cfg, order, evaluations, started) -> SolverResult:
@@ -159,10 +169,7 @@ def exhaustive_best(pattern: BlockPattern, cfg: ArchConfig, tensor: np.ndarray) 
     _check_tensor(pattern, cfg, tensor)
     started = time.perf_counter()
     n = pattern.num_wordlines
-    if n > EXHAUSTIVE_LIMIT:
-        raise TooManyWordlines(
-            f"exhaustive search refuses N={n} (limit {EXHAUSTIVE_LIMIT}; use sa instead)"
-        )
+    check_exhaustive(n)
     perms = _permutations(n)
     best_order, _ = _first_best(
         (perms[part], _row_totals(tensor, perms[part])) for part in chunks(len(perms), 16 * n)

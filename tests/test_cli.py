@@ -207,10 +207,11 @@ class TestArrange:
     def test_exhaustive_too_large_exits_1(self, tmp_path, capsys):
         out = gen_dataset(tmp_path, capsys, blocks=1, wordlines=10, cells=2)
         block = next(out.glob("*.pdap"))
+        before = tensor_build_count()
         code, _, err = run(["arrange", "--in", str(block), "--solver", "exhaustive"], capsys)
         assert code == 1
         assert "TooManyWordlines" in err
-
+        assert tensor_build_count() == before  # refused before the tensor is built
 
     @pytest.mark.parametrize("solver", ["exhaustive", "random", "greedy", "sa"])
     def test_stats_counts_one_build_per_classical_solver(self, tmp_path, capsys, solver):
@@ -223,15 +224,21 @@ class TestArrange:
         assert code == 0
         assert stdout.splitlines()[1] == "tensor_builds=1"
 
-    @pytest.mark.parametrize("solver", ["exhaustive", "greedy"])
-    def test_block_past_the_tensor_budget_exits_1(self, tmp_path, capsys, solver):
+    @pytest.mark.parametrize(
+        "solver, reason",
+        [
+            ("exhaustive", "exhaustive search refuses N=1024"),
+            ("greedy", "a score tensor at N=1024 needs "),
+        ],
+    )
+    def test_block_past_the_tensor_budget_exits_1(self, tmp_path, capsys, solver, reason):
         # A 1 KiB file whose score tensor would take 12 GiB.
         out = gen_dataset(tmp_path, capsys, blocks=1, wordlines=1024, cells=1)
         block = next(out.glob("*.pdap"))
         code, stdout, err = run(["arrange", "--in", str(block), "--solver", solver], capsys)
         assert code == 1
         assert stdout == ""
-        assert err.startswith("error: TooManyWordlines: a score tensor at N=1024 needs ")
+        assert err.startswith(f"error: TooManyWordlines: {reason}")
         assert err.count("\n") == 1
 
 

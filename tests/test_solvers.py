@@ -742,13 +742,19 @@ CLASSICAL_SOLVERS = {
 }
 
 
-@pytest.mark.parametrize("shape", [(5, 5, 5), (6, 6), (6, 6, 5), (6, 6, 6, 1), (36, 6)])
+# Wrong shapes, and a non-array as passed by the old (pattern, cfg, schedule) form.
+WRONG_TENSORS = {
+    str(shape): np.zeros(shape) for shape in [(5, 5, 5), (6, 6), (6, 6, 5), (6, 6, 6, 1), (36, 6)]
+} | {"AnnealSchedule": AnnealSchedule()}
+
+
+@pytest.mark.parametrize("tensor", WRONG_TENSORS.values(), ids=WRONG_TENSORS.keys())
 @pytest.mark.parametrize("name", CLASSICAL_SOLVERS)
-def test_a_tensor_not_of_the_blocks_shape_is_refused(name, shape):
+def test_a_tensor_not_of_the_blocks_shape_is_refused(name, tensor):
     cfg = ArchConfig(num_wordlines=6, cells_per_page=4)
     pattern = gen_random_block(cfg, seed=1)
     with pytest.raises(DimensionMismatch, match=r"^score tensor has shape .*, N=6 wants \(6, 6, 6\)$"):
-        CLASSICAL_SOLVERS[name](pattern, cfg, np.zeros(shape))
+        CLASSICAL_SOLVERS[name](pattern, cfg, tensor)
 
 
 @pytest.mark.parametrize("name", CLASSICAL_SOLVERS)
